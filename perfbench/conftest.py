@@ -1,0 +1,11 @@
+"""Put the checkout's ``src`` on the path for the benchmark's own tests:
+
+    python3 -m pytest perfbench -q
+"""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
