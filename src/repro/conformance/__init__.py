@@ -17,6 +17,10 @@ Three independent evidence streams, one report shape:
 * :mod:`repro.conformance.certified` — every corpus-fitted model must
   pass the static verifier (:mod:`repro.verify`) and keep 10k uniform
   in-domain predictions inside its certified per-leaf intervals.
+* :func:`repro.conformance.oracle.reference_run_block` — the
+  per-instruction trace replay that
+  :meth:`~repro.simulator.core.SimulatedCore.run_block` must match bit
+  for bit (flags, counts, cycles, component state).
 * :mod:`repro.conformance.fastsim` — differential drift gates (FAST00x)
   bounding the fast suite engine's CPI error against the trace oracle
   on a seeded corpus; tolerance-based, never bit-identical, because the

@@ -1,6 +1,10 @@
-"""A deliberately naive reference implementation of M5' (the oracle).
+"""Deliberately naive reference implementations (the oracles).
 
-Every optimized execution path in this package — the chunked vectorized
+Two optimized paths are checked against straight-line transcriptions
+here: M5' fitting (:class:`ReferenceM5Prime`, most of this module) and
+trace replay (:func:`reference_run_block`, at the end).
+
+Every optimized M5' execution path in this package — the chunked vectorized
 split scan (:mod:`repro.core.tree.splitting`), the compiled flat-array
 inference (:mod:`repro.serve.compiled`), parallel cross-validation folds,
 cached artifacts, JSON round trips — promises to compute *exactly* the
@@ -38,10 +42,12 @@ as ``E[y^2] - E[y]^2`` exactly as the vectorized scan computes it.
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro._util import RandomState
 from repro.core.tree.builder import MODEL_ATTRIBUTE_POLICIES
 from repro.core.tree.linear import (
     LinearModel,
@@ -55,6 +61,17 @@ from repro.core.tree.smoothing import DEFAULT_SMOOTHING_K
 from repro.datasets.dataset import Dataset
 from repro.datasets.unpack import unpack_training_data
 from repro.errors import ConfigError, DataError, NotFittedError
+from repro.simulator.config import MachineConfig
+from repro.simulator.core import BlockResult, SimulatedCore
+from repro.simulator.isa import KIND_BRANCH, KIND_LOAD, KIND_STORE, InstructionBlock
+from repro.simulator.memdep import (
+    BLOCK_OVERLAP,
+    BLOCK_STA,
+    BLOCK_STD,
+    GRANULE_SHIFT,
+    NO_BLOCK,
+)
+from repro.simulator.pipeline import SectionEvents
 
 #: The production tie-break margin: a later attribute replaces the
 #: incumbent best split only when its SDR exceeds it by more than this.
@@ -433,3 +450,282 @@ def _assign_leaf_ids(root: Node) -> int:
             counter += 1
             node.leaf_id = counter
     return counter
+
+
+# ----------------------------------------------------------------------
+# Trace replay oracle
+#
+# The simulated core replays a block as separate passes over the
+# structures that do not share state (see
+# :meth:`repro.simulator.core.SimulatedCore.run_block`).  The oracle
+# below is the straight per-instruction loop that visits every structure
+# for every instruction in program order, with a store buffer that keeps
+# one dict entry per 8-byte granule and expires them through a FIFO.
+# The production replay must match it bit for bit.
+
+
+_StoreRecord = Tuple[int, int, int, bool, bool]  # (seq, addr, size, sta, std)
+
+
+class ReferenceStoreBuffer:
+    """The per-granule dict/FIFO store buffer, driven one instruction at a time."""
+
+    __slots__ = ("window", "_granules", "_fifo", "_seq")
+
+    def __init__(self, window: int = 32) -> None:
+        self.window = int(window)
+        self._granules: Dict[int, _StoreRecord] = {}
+        self._fifo: Deque[Tuple[int, int]] = deque()  # (granule, seq)
+        self._seq = 0
+
+    def _expire(self) -> None:
+        horizon = self._seq - self.window
+        fifo = self._fifo
+        granules = self._granules
+        while fifo and fifo[0][1] < horizon:
+            granule, seq = fifo.popleft()
+            record = granules.get(granule)
+            if record is not None and record[0] == seq:
+                del granules[granule]
+
+    def push_store(self, addr: int, size: int, sta: bool, std: bool) -> None:
+        """Record a store; newer stores shadow older ones per granule."""
+        self._seq += 1
+        self._expire()
+        record = (self._seq, addr, size, sta, std)
+        first = addr >> GRANULE_SHIFT
+        last = (addr + max(size, 1) - 1) >> GRANULE_SHIFT
+        for granule in range(first, last + 1):
+            self._granules[granule] = record
+            self._fifo.append((granule, self._seq))
+
+    def check_load(self, addr: int, size: int) -> int:
+        """Classify a load against in-flight stores; advances time.
+
+        Returns one of ``NO_BLOCK``, ``BLOCK_STA``, ``BLOCK_STD``,
+        ``BLOCK_OVERLAP``.
+        """
+        self._seq += 1
+        self._expire()
+        record = self._find(addr, size)
+        if record is None:
+            return NO_BLOCK
+        _, store_addr, store_size, sta, std = record
+        if sta:
+            return BLOCK_STA
+        covered = store_addr <= addr and store_addr + store_size >= addr + size
+        if not covered:
+            return BLOCK_OVERLAP
+        if std:
+            return BLOCK_STD
+        return NO_BLOCK
+
+    def _find(self, addr: int, size: int) -> Optional[_StoreRecord]:
+        first = addr >> GRANULE_SHIFT
+        last = (addr + max(size, 1) - 1) >> GRANULE_SHIFT
+        newest: Optional[_StoreRecord] = None
+        for granule in range(first, last + 1):
+            record = self._granules.get(granule)
+            if record is not None and (newest is None or record[0] > newest[0]):
+                newest = record
+        return newest
+
+    def advance(self, instructions: int = 1) -> None:
+        """Advance time for non-memory instructions (ages the window)."""
+        self._seq += instructions
+        self._expire()
+
+    def clear(self) -> None:
+        self._granules.clear()
+        self._fifo.clear()
+
+    @property
+    def occupancy(self) -> int:
+        """Distinct granules currently tracked (post-expiry)."""
+        self._expire()
+        return len(self._granules)
+
+
+def reference_core(
+    config: Optional[MachineConfig] = None, rng: RandomState = None
+) -> SimulatedCore:
+    """A :class:`SimulatedCore` carrying a :class:`ReferenceStoreBuffer`.
+
+    Drive it with :func:`reference_run_block` only: the production
+    replay needs the block-level store buffer.
+    """
+    core = SimulatedCore(config, rng=rng)
+    core.store_buffer = ReferenceStoreBuffer(core.config.store_buffer_window)
+    return core
+
+
+def reference_run_block(core: SimulatedCore, block: InstructionBlock) -> BlockResult:
+    """Replay ``block`` on ``core`` one instruction at a time, in program order.
+
+    ``core`` should come from :func:`reference_core`.  State carries over
+    between calls exactly as with :meth:`SimulatedCore.run_block`.
+    """
+    n = len(block)
+    line_bytes = core.config.l1d.line_bytes
+    fetch_line_bytes = core.config.l1i.line_bytes
+
+    l1dm = np.zeros(n, dtype=bool)
+    l2m = np.zeros(n, dtype=bool)
+    store_l1m = np.zeros(n, dtype=bool)
+    store_l2m = np.zeros(n, dtype=bool)
+    l1im = np.zeros(n, dtype=bool)
+    l2im = np.zeros(n, dtype=bool)
+    itlbm = np.zeros(n, dtype=bool)
+    dtlb0_ld = np.zeros(n, dtype=bool)
+    dtlb_walk_ld = np.zeros(n, dtype=bool)
+    dtlb_walk_st = np.zeros(n, dtype=bool)
+    mispred = np.zeros(n, dtype=bool)
+    ldbl_sta = np.zeros(n, dtype=bool)
+    ldbl_std = np.zeros(n, dtype=bool)
+    ldbl_ov = np.zeros(n, dtype=bool)
+
+    misal = block.misaligned_mask()
+    split = block.split_mask(line_bytes)
+    is_load = block.kind == KIND_LOAD
+    is_store = block.kind == KIND_STORE
+    is_branch = block.kind == KIND_BRANCH
+    split_ld = split & is_load
+    split_st = split & is_store
+
+    # Local bindings keep the hot loop free of attribute lookups.
+    kinds = block.kind
+    pcs = block.pc
+    addrs = block.addr
+    sizes = block.size
+    takens = block.taken
+    stas = block.sta
+    stds = block.std
+    splits = split
+    l1i_access = core.l1i.access
+    l1d_access = core.l1d.access
+    l2_access = core.l2.access
+    l1i_fill = core.l1i.fill
+    l1d_fill = core.l1d.fill
+    l2_fill = core.l2.fill
+    itlb_access = core.itlb.access
+    dtlb_access = core.dtlb.access
+    predict = core.predictor.access
+    sb_check = core.store_buffer.check_load
+    sb_push = core.store_buffer.push_store
+    sb_advance = core.store_buffer.advance
+    prefetch = core.config.prefetch_next_line
+    # Stream-detector state for the data prefetcher: when consecutive
+    # demand misses hit adjacent lines (an ascending sweep), the
+    # prefetcher runs ahead several lines, like Core 2's DPL.
+    last_miss_line = -(1 << 60)
+    stream_depth = 8
+    line_shift = line_bytes.bit_length() - 1
+
+    for i in range(n):
+        pc = int(pcs[i])
+        if not itlb_access(pc):
+            itlbm[i] = True
+        if not l1i_access(pc):
+            l1im[i] = True
+            if not l2_access(pc):
+                l2im[i] = True
+            if prefetch:
+                # Sequential front-end prefetch: the next line follows
+                # the demand miss into both cache levels.
+                l1i_fill(pc + fetch_line_bytes)
+                l2_fill(pc + fetch_line_bytes)
+        kind = kinds[i]
+        if kind == KIND_LOAD:
+            addr = int(addrs[i])
+            size = int(sizes[i])
+            blocked = sb_check(addr, size)
+            if blocked == BLOCK_STA:
+                ldbl_sta[i] = True
+            elif blocked == BLOCK_STD:
+                ldbl_std[i] = True
+            elif blocked == BLOCK_OVERLAP:
+                ldbl_ov[i] = True
+            l0_miss, walk = dtlb_access(addr)
+            if l0_miss:
+                dtlb0_ld[i] = True
+                if walk:
+                    dtlb_walk_ld[i] = True
+            if not l1d_access(addr):
+                l1dm[i] = True
+                if not l2_access(addr):
+                    l2m[i] = True
+                if prefetch:
+                    # Streamer: adjacent lines follow a demand miss, and
+                    # a detected ascending sweep is run ahead of (this
+                    # is what hides strided workloads on Core 2).
+                    miss_line = addr >> line_shift
+                    depth = (
+                        stream_depth
+                        if 0 < miss_line - last_miss_line <= 2
+                        else 1
+                    )
+                    last_miss_line = miss_line
+                    for ahead in range(1, depth + 1):
+                        l1d_fill(addr + ahead * line_bytes)
+                        l2_fill(addr + ahead * line_bytes)
+            if splits[i]:
+                second = addr + size - 1
+                if not l1d_access(second):
+                    l2_access(second)
+        elif kind == KIND_STORE:
+            addr = int(addrs[i])
+            size = int(sizes[i])
+            sb_push(addr, size, bool(stas[i]), bool(stds[i]))
+            l0_miss, walk = dtlb_access(addr)
+            if l0_miss and walk:
+                dtlb_walk_st[i] = True
+            if not l1d_access(addr):
+                store_l1m[i] = True
+                if not l2_access(addr):
+                    store_l2m[i] = True
+                if prefetch:
+                    miss_line = addr >> line_shift
+                    depth = (
+                        stream_depth
+                        if 0 < miss_line - last_miss_line <= 2
+                        else 1
+                    )
+                    last_miss_line = miss_line
+                    for ahead in range(1, depth + 1):
+                        l1d_fill(addr + ahead * line_bytes)
+                        l2_fill(addr + ahead * line_bytes)
+            if splits[i]:
+                second = addr + size - 1
+                if not l1d_access(second):
+                    l2_access(second)
+        else:
+            sb_advance(1)
+            if kind == KIND_BRANCH and not predict(pc, bool(takens[i])):
+                mispred[i] = True
+
+    events = SectionEvents(
+        is_load=is_load,
+        is_store=is_store,
+        is_branch=is_branch,
+        l1dm=l1dm,
+        l2m=l2m,
+        store_l1m=store_l1m,
+        store_l2m=store_l2m,
+        l1im=l1im,
+        l2im=l2im,
+        itlbm=itlbm,
+        dtlb0_ld=dtlb0_ld,
+        dtlb_walk_ld=dtlb_walk_ld,
+        dtlb_walk_st=dtlb_walk_st,
+        mispred=mispred,
+        ldbl_sta=ldbl_sta,
+        ldbl_std=ldbl_std,
+        ldbl_ov=ldbl_ov,
+        misal=misal,
+        split_ld=split_ld,
+        split_st=split_st,
+        lcp=block.lcp,
+        ilp=block.ilp,
+        dependent_miss_fraction=block.dependent_miss_fraction,
+    )
+    return core._complete(block, events)

@@ -2,8 +2,10 @@
 
 State is a dict per set; Python dicts preserve insertion order, so the
 first key is always the least-recently-used line and a hit re-inserts its
-line at the MRU end.  This gives exact LRU at O(1) per access, which the
-hot replay loop in :mod:`repro.simulator.core` depends on.
+line at the MRU end.  This gives exact LRU at O(1) per access.  A hit on
+the line already at the MRU end changes nothing but :attr:`hits`, which
+is what lets :meth:`repro.simulator.core.SimulatedCore.run_block` count
+repeated fetches from one line in bulk instead of replaying them.
 """
 
 from __future__ import annotations

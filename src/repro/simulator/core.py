@@ -2,9 +2,10 @@
 
 :class:`SimulatedCore` owns the caches, TLBs, branch predictor and store
 buffer, replays an :class:`~repro.simulator.isa.InstructionBlock` through
-them in program order, hands the resulting event flags to the
-cycle-accounting pipeline, and emits raw PMU counts with the exact
-architectural event names of Table I.
+them, hands the resulting event flags to the cycle-accounting pipeline,
+and emits raw PMU counts with the exact architectural event names of
+Table I.  Structures that share state are replayed together in program
+order; independent ones replay on their own (see :meth:`run_block`).
 
 Component state persists across blocks (warm caches), mirroring
 continuous collection on real hardware; call :meth:`reset` between
@@ -29,12 +30,7 @@ from repro.simulator.isa import (
     KIND_LOAD,
     KIND_STORE,
 )
-from repro.simulator.memdep import (
-    BLOCK_OVERLAP,
-    BLOCK_STA,
-    BLOCK_STD,
-    StoreBuffer,
-)
+from repro.simulator.memdep import BLOCK_OVERLAP, BLOCK_STA, BLOCK_STD, StoreBuffer
 from repro.simulator.pipeline import CycleAccounting, CycleBreakdown, SectionEvents
 from repro.simulator.tlb import TranslationBuffer, TwoLevelDTLB
 
@@ -91,55 +87,82 @@ class SimulatedCore:
 
     # ------------------------------------------------------------------
     def run_block(self, block: InstructionBlock) -> BlockResult:
-        """Replay one block and return counts, cycles and event detail."""
+        """Replay one block and return counts, cycles and event detail.
+
+        Only the coupled hierarchy needs program order: L1I and L1D share
+        the L2, and the DTLB rides along with the data accesses.  The
+        ITLB, the branch predictor and the store buffer each see one
+        stream of their own, so they replay separately.  A fetch from the
+        line (page) of the previous fetch is an L1I (ITLB) hit that keeps
+        LRU order, so only line- and page-changing fetches are visited.
+        """
         n = len(block)
-        line_bytes = self.config.l1d.line_bytes
+        config = self.config
+        line_bytes = config.l1d.line_bytes
+        fetch_line_bytes = config.l1i.line_bytes
 
-        l1dm = np.zeros(n, dtype=bool)
-        l2m = np.zeros(n, dtype=bool)
-        store_l1m = np.zeros(n, dtype=bool)
-        store_l2m = np.zeros(n, dtype=bool)
-        l1im = np.zeros(n, dtype=bool)
-        l2im = np.zeros(n, dtype=bool)
-        itlbm = np.zeros(n, dtype=bool)
-        dtlb0_ld = np.zeros(n, dtype=bool)
-        dtlb_walk_ld = np.zeros(n, dtype=bool)
-        dtlb_walk_st = np.zeros(n, dtype=bool)
-        mispred = np.zeros(n, dtype=bool)
-        ldbl_sta = np.zeros(n, dtype=bool)
-        ldbl_std = np.zeros(n, dtype=bool)
-        ldbl_ov = np.zeros(n, dtype=bool)
-
-        misal = block.misaligned_mask()
-        split = block.split_mask(line_bytes)
-        is_load = block.kind == KIND_LOAD
-        is_store = block.kind == KIND_STORE
-        is_branch = block.kind == KIND_BRANCH
-        split_ld = split & is_load
-        split_st = split & is_store
-
-        # Local bindings keep the hot loop free of attribute lookups.
         kinds = block.kind
         pcs = block.pc
-        addrs = block.addr
-        sizes = block.size
-        takens = block.taken
-        stas = block.sta
-        stds = block.std
-        splits = split
+        is_load = kinds == KIND_LOAD
+        is_store = kinds == KIND_STORE
+        is_branch = kinds == KIND_BRANCH
+        is_memory = is_load | is_store
+        split = block.split_mask(line_bytes)
+
+        blocked = self.store_buffer.classify(block)
+
+        # ITLB: fetches that stay on the previous fetch's page hit.
+        new_page = _changes(pcs, config.itlb.page_bytes)
+        itlb_access = self.itlb.access
+        page_fetches = np.flatnonzero(new_page)
+        itlb_misses = [
+            i
+            for i, pc in zip(page_fetches.tolist(), pcs[page_fetches].tolist())
+            if not itlb_access(pc)
+        ]
+        self.itlb.hits += n - page_fetches.size
+
+        # Branch predictor: branches only.
+        predict = self.predictor.access
+        branches = np.flatnonzero(is_branch)
+        mispredicts = [
+            i
+            for i, pc, taken in zip(
+                branches.tolist(),
+                pcs[branches].tolist(),
+                block.taken[branches].tolist(),
+            )
+            if not predict(pc, taken)
+        ]
+
+        # L1I/L1D/L2 and DTLB in program order: memory ops, plus fetches
+        # that leave the previous fetch's line (the rest hit).
+        new_line = _changes(pcs, fetch_line_bytes)
+        prefetch = config.prefetch_next_line
+        if prefetch and config.l1i.n_sets == 1:
+            # One set: the next-line fill lands beside the demand line
+            # and reorders it, so a same-line fetch is no longer a no-op.
+            new_line[:] = True
+        self.l1i.hits += n - int(np.count_nonzero(new_line))
+
+        steps = np.flatnonzero(new_line | is_memory)
+        addrs = block.addr[steps]
+        # ``second`` equals ``addr`` unless the access splits a line (a
+        # split access spans at least two bytes, so the two then differ).
+        seconds = np.where(split[steps], addrs + block.size[steps] - 1, addrs)
+        fetch_misses: List[int] = []
+        fetch_l2_misses: List[int] = []
+        data_misses: List[int] = []
+        data_l2_misses: List[int] = []
+        dtlb0_misses: List[int] = []
+        dtlb_walks: List[int] = []
         l1i_access = self.l1i.access
         l1d_access = self.l1d.access
         l2_access = self.l2.access
         l1i_fill = self.l1i.fill
         l1d_fill = self.l1d.fill
         l2_fill = self.l2.fill
-        itlb_access = self.itlb.access
         dtlb_access = self.dtlb.access
-        predict = self.predictor.access
-        sb_check = self.store_buffer.check_load
-        sb_push = self.store_buffer.push_store
-        sb_advance = self.store_buffer.advance
-        prefetch = self.config.prefetch_next_line
         # Stream-detector state for the data prefetcher: when consecutive
         # demand misses hit adjacent lines (an ascending sweep), the
         # prefetcher runs ahead several lines, like Core 2's DPL.
@@ -147,113 +170,81 @@ class SimulatedCore:
         stream_depth = 8
         line_shift = line_bytes.bit_length() - 1
 
-        for i in range(n):
-            pc = int(pcs[i])
-            if not itlb_access(pc):
-                itlbm[i] = True
-            if not l1i_access(pc):
-                l1im[i] = True
+        for i, fetch, pc, memory, addr, second in zip(
+            steps.tolist(),
+            new_line[steps].tolist(),
+            pcs[steps].tolist(),
+            is_memory[steps].tolist(),
+            addrs.tolist(),
+            seconds.tolist(),
+        ):
+            if fetch and not l1i_access(pc):
+                fetch_misses.append(i)
                 if not l2_access(pc):
-                    l2im[i] = True
+                    fetch_l2_misses.append(i)
                 if prefetch:
                     # Sequential front-end prefetch: the next line follows
                     # the demand miss into both cache levels.
-                    l1i_fill(pc + line_bytes)
-                    l2_fill(pc + line_bytes)
-            kind = kinds[i]
-            if kind == KIND_LOAD:
-                addr = int(addrs[i])
-                size = int(sizes[i])
-                blocked = sb_check(addr, size)
-                if blocked == BLOCK_STA:
-                    ldbl_sta[i] = True
-                elif blocked == BLOCK_STD:
-                    ldbl_std[i] = True
-                elif blocked == BLOCK_OVERLAP:
-                    ldbl_ov[i] = True
-                l0_miss, walk = dtlb_access(addr)
-                if l0_miss:
-                    dtlb0_ld[i] = True
-                    if walk:
-                        dtlb_walk_ld[i] = True
-                if not l1d_access(addr):
-                    l1dm[i] = True
-                    if not l2_access(addr):
-                        l2m[i] = True
-                    if prefetch:
-                        # Streamer: adjacent lines follow a demand miss, and
-                        # a detected ascending sweep is run ahead of (this
-                        # is what hides strided workloads on Core 2).
-                        miss_line = addr >> line_shift
-                        depth = (
-                            stream_depth
-                            if 0 < miss_line - last_miss_line <= 2
-                            else 1
-                        )
-                        last_miss_line = miss_line
-                        for ahead in range(1, depth + 1):
-                            l1d_fill(addr + ahead * line_bytes)
-                            l2_fill(addr + ahead * line_bytes)
-                if splits[i]:
-                    second = addr + size - 1
-                    if not l1d_access(second):
-                        l2_access(second)
-            elif kind == KIND_STORE:
-                addr = int(addrs[i])
-                size = int(sizes[i])
-                sb_push(addr, size, bool(stas[i]), bool(stds[i]))
-                l0_miss, walk = dtlb_access(addr)
-                if l0_miss and walk:
-                    dtlb_walk_st[i] = True
-                if not l1d_access(addr):
-                    store_l1m[i] = True
-                    if not l2_access(addr):
-                        store_l2m[i] = True
-                    if prefetch:
-                        miss_line = addr >> line_shift
-                        depth = (
-                            stream_depth
-                            if 0 < miss_line - last_miss_line <= 2
-                            else 1
-                        )
-                        last_miss_line = miss_line
-                        for ahead in range(1, depth + 1):
-                            l1d_fill(addr + ahead * line_bytes)
-                            l2_fill(addr + ahead * line_bytes)
-                if splits[i]:
-                    second = addr + size - 1
-                    if not l1d_access(second):
-                        l2_access(second)
-            else:
-                sb_advance(1)
-                if kind == KIND_BRANCH and not predict(pc, bool(takens[i])):
-                    mispred[i] = True
+                    l1i_fill(pc + fetch_line_bytes)
+                    l2_fill(pc + fetch_line_bytes)
+            if not memory:
+                continue
+            l0_miss, walk = dtlb_access(addr)
+            if l0_miss:
+                dtlb0_misses.append(i)
+                if walk:
+                    dtlb_walks.append(i)
+            if not l1d_access(addr):
+                data_misses.append(i)
+                if not l2_access(addr):
+                    data_l2_misses.append(i)
+                if prefetch:
+                    # Streamer: adjacent lines follow a demand miss, and a
+                    # detected ascending sweep is run ahead of (this is
+                    # what hides strided workloads on Core 2).
+                    miss_line = addr >> line_shift
+                    depth = (
+                        stream_depth if 0 < miss_line - last_miss_line <= 2 else 1
+                    )
+                    last_miss_line = miss_line
+                    for ahead in range(1, depth + 1):
+                        l1d_fill(addr + ahead * line_bytes)
+                        l2_fill(addr + ahead * line_bytes)
+            if second != addr and not l1d_access(second):
+                l2_access(second)
 
+        l1d_missed = _flags(n, data_misses)
+        l2_missed = _flags(n, data_l2_misses)
+        walked = _flags(n, dtlb_walks)
         events = SectionEvents(
             is_load=is_load,
             is_store=is_store,
             is_branch=is_branch,
-            l1dm=l1dm,
-            l2m=l2m,
-            store_l1m=store_l1m,
-            store_l2m=store_l2m,
-            l1im=l1im,
-            l2im=l2im,
-            itlbm=itlbm,
-            dtlb0_ld=dtlb0_ld,
-            dtlb_walk_ld=dtlb_walk_ld,
-            dtlb_walk_st=dtlb_walk_st,
-            mispred=mispred,
-            ldbl_sta=ldbl_sta,
-            ldbl_std=ldbl_std,
-            ldbl_ov=ldbl_ov,
-            misal=misal,
-            split_ld=split_ld,
-            split_st=split_st,
+            l1dm=l1d_missed & is_load,
+            l2m=l2_missed & is_load,
+            store_l1m=l1d_missed & is_store,
+            store_l2m=l2_missed & is_store,
+            l1im=_flags(n, fetch_misses),
+            l2im=_flags(n, fetch_l2_misses),
+            itlbm=_flags(n, itlb_misses),
+            dtlb0_ld=_flags(n, dtlb0_misses) & is_load,
+            dtlb_walk_ld=walked & is_load,
+            dtlb_walk_st=walked & is_store,
+            mispred=_flags(n, mispredicts),
+            ldbl_sta=blocked == BLOCK_STA,
+            ldbl_std=blocked == BLOCK_STD,
+            ldbl_ov=blocked == BLOCK_OVERLAP,
+            misal=block.misaligned_mask(),
+            split_ld=split & is_load,
+            split_st=split & is_store,
             lcp=block.lcp,
             ilp=block.ilp,
             dependent_miss_fraction=block.dependent_miss_fraction,
         )
+        return self._complete(block, events)
+
+    def _complete(self, block: InstructionBlock, events: SectionEvents) -> BlockResult:
+        """Price a replayed block's events and emit its PMU counts."""
         breakdown = self.accounting.account(events)
         cycles = breakdown.total
         noise_sd = self.config.measurement_noise_sd
@@ -312,3 +303,23 @@ class SimulatedCore:
     def run_blocks(self, blocks: Iterable[InstructionBlock]) -> List[BlockResult]:
         """Replay several blocks back to back (state carries over)."""
         return [self.run_block(block) for block in blocks]
+
+
+def _changes(pcs: np.ndarray, granule_bytes: int) -> np.ndarray:
+    """Where the fetch address enters a new ``granule_bytes`` granule.
+
+    The first fetch of a block always counts: whatever ran between two
+    blocks may have disturbed the structure.
+    """
+    granule = pcs >> (granule_bytes.bit_length() - 1)
+    changed = np.empty(granule.shape[0], dtype=bool)
+    changed[0] = True
+    np.not_equal(granule[1:], granule[:-1], out=changed[1:])
+    return changed
+
+
+def _flags(n: int, indices: List[int]) -> np.ndarray:
+    """A length-``n`` boolean mask set at ``indices``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[indices] = True
+    return mask

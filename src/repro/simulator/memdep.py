@@ -11,14 +11,23 @@ paper's Table I tracks:
 * ``LOAD_BLOCK.OVERLAP_STORE``: the store only partially covers the load,
   so forwarding is architecturally impossible.
 
-This model keeps a sliding window of recent stores indexed by 8-byte
-granule, so a load resolves its blocking status in O(1).
+Every instruction is one tick of store-buffer time, and a load sees the
+stores among the ``window`` instructions before it.  It is checked
+against the newest of those whose 8-byte granule range overlaps its own,
+mirroring the partial-address matching real store buffers perform.
+
+All classification is one numpy look-back pass over a run of
+instructions: :meth:`StoreBuffer.classify` runs it on a whole block (the
+simulated core's path), and the scalar ``push_store``/``check_load``
+run it on a single instruction.  Non-memory instructions only move the
+clock.  In-window stores carry over from one call to the next.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+import numpy as np
+
+from repro.simulator.isa import KIND_LOAD, KIND_STORE, InstructionBlock
 
 #: Store-to-load conflicts are detected at this granularity, mirroring the
 #: partial-address matching real store buffers perform.
@@ -30,40 +39,35 @@ BLOCK_STA = 1
 BLOCK_STD = 2
 BLOCK_OVERLAP = 3
 
-_StoreRecord = Tuple[int, int, int, bool, bool]  # (seq, addr, size, sta, std)
+_STORE = np.array([KIND_STORE])
+_LOAD = np.array([KIND_LOAD])
+_UNFLAGGED = np.zeros(1, dtype=bool)
+
+
+def _granules(addr: np.ndarray, size: np.ndarray):
+    """First and last granule accesses of ``size`` bytes at ``addr`` touch."""
+    return addr >> GRANULE_SHIFT, (addr + np.maximum(size, 1) - 1) >> GRANULE_SHIFT
 
 
 class StoreBuffer:
     """Sliding-window store buffer for load-block classification."""
 
-    __slots__ = ("window", "_granules", "_fifo", "_seq")
+    __slots__ = ("window", "_stores", "_seq")
 
     def __init__(self, window: int = 32) -> None:
         self.window = int(window)
-        self._granules: Dict[int, _StoreRecord] = {}
-        self._fifo: Deque[Tuple[int, int]] = deque()  # (granule, seq)
+        # Carried stores, oldest first, one ``(seq, addr, size, sta, std)``
+        # row each.  A store pushed at time ``seq`` is in the window while
+        # ``seq >= now - window``; since ``advance`` only moves the clock,
+        # rows that aged out after the last replay linger until the next.
+        self._stores = np.empty((0, 5), dtype=np.int64)
         self._seq = 0
-
-    def _expire(self) -> None:
-        horizon = self._seq - self.window
-        fifo = self._fifo
-        granules = self._granules
-        while fifo and fifo[0][1] < horizon:
-            granule, seq = fifo.popleft()
-            record = granules.get(granule)
-            if record is not None and record[0] == seq:
-                del granules[granule]
 
     def push_store(self, addr: int, size: int, sta: bool, std: bool) -> None:
         """Record a store; newer stores shadow older ones per granule."""
-        self._seq += 1
-        self._expire()
-        record = (self._seq, addr, size, sta, std)
-        first = addr >> GRANULE_SHIFT
-        last = (addr + max(size, 1) - 1) >> GRANULE_SHIFT
-        for granule in range(first, last + 1):
-            self._granules[granule] = record
-            self._fifo.append((granule, self._seq))
+        self._replay(
+            _STORE, np.array([addr]), np.array([size]), np.array([sta]), np.array([std])
+        )
 
     def check_load(self, addr: int, size: int) -> int:
         """Classify a load against in-flight stores; advances time.
@@ -71,42 +75,98 @@ class StoreBuffer:
         Returns one of ``NO_BLOCK``, ``BLOCK_STA``, ``BLOCK_STD``,
         ``BLOCK_OVERLAP``.
         """
-        self._seq += 1
-        self._expire()
-        record = self._find(addr, size)
-        if record is None:
-            return NO_BLOCK
-        _, store_addr, store_size, sta, std = record
-        if sta:
-            return BLOCK_STA
-        covered = store_addr <= addr and store_addr + store_size >= addr + size
-        if not covered:
-            return BLOCK_OVERLAP
-        if std:
-            return BLOCK_STD
-        return NO_BLOCK
-
-    def _find(self, addr: int, size: int) -> Optional[_StoreRecord]:
-        first = addr >> GRANULE_SHIFT
-        last = (addr + max(size, 1) - 1) >> GRANULE_SHIFT
-        newest: Optional[_StoreRecord] = None
-        for granule in range(first, last + 1):
-            record = self._granules.get(granule)
-            if record is not None and (newest is None or record[0] > newest[0]):
-                newest = record
-        return newest
+        codes = self._replay(
+            _LOAD, np.array([addr]), np.array([size]), _UNFLAGGED, _UNFLAGGED
+        )
+        return int(codes[0])
 
     def advance(self, instructions: int = 1) -> None:
         """Advance time for non-memory instructions (ages the window)."""
         self._seq += instructions
-        self._expire()
+
+    def classify(self, block: InstructionBlock) -> np.ndarray:
+        """Replay a whole block; return each instruction's outcome code.
+
+        Equivalent to ``check_load`` for every load, ``push_store`` for
+        every store and ``advance(1)`` for everything else, in program
+        order, so time advances by ``len(block)``.  Non-loads get
+        ``NO_BLOCK``.
+        """
+        return self._replay(block.kind, block.addr, block.size, block.sta, block.std)
+
+    def _replay(self, kind, addr, size, sta, std) -> np.ndarray:
+        """Classify a run of instructions given as columns (see :meth:`classify`).
+
+        Instruction ``i`` runs at time ``start + i + 1``; stores carried in
+        from earlier calls sit at negative indices before it.
+        """
+        n = kind.shape[0]
+        window = self.window
+        start = self._seq
+        # Carried stores that have since aged out of the window fall
+        # outside every load's look-back and are not kept below.
+        history = self._stores
+        stores = np.flatnonzero(kind == KIND_STORE)
+        # Every store that can be seen, in time order.
+        position = np.concatenate((history[:, 0] - start - 1, stores))
+        addr_all = np.concatenate((history[:, 1], addr[stores]))
+        size_all = np.concatenate((history[:, 2], size[stores]))
+        sta_all = np.concatenate((history[:, 3], sta[stores]))
+        std_all = np.concatenate((history[:, 4], std[stores]))
+
+        codes = np.zeros(n, dtype=np.int8)
+        loads = np.flatnonzero(kind == KIND_LOAD)
+        # Stores in ``[oldest, newest)`` lie in a load's window.
+        newest = np.searchsorted(position, loads)
+        oldest = np.searchsorted(position, loads - window)
+        depth = int((newest - oldest).max()) if loads.size else 0
+        if depth:
+            # Column c holds each load's c-th newest in-window store.
+            candidate = newest[:, None] - 1 - np.arange(depth)
+            in_window = candidate >= oldest[:, None]
+            candidate[~in_window] = 0
+            first, last = _granules(addr_all, size_all)
+            load_addr = addr[loads]
+            load_size = size[loads]
+            load_first, load_last = _granules(load_addr, load_size)
+            overlap = (
+                in_window
+                & (first[candidate] <= load_last[:, None])
+                & (last[candidate] >= load_first[:, None])
+            )
+            found = np.flatnonzero(overlap.any(axis=1))
+            source = candidate[found, overlap[found].argmax(axis=1)]
+            covered = (addr_all[source] <= load_addr[found]) & (
+                addr_all[source] + size_all[source]
+                >= load_addr[found] + load_size[found]
+            )
+            codes[loads[found]] = np.where(
+                sta_all[source] != 0,
+                BLOCK_STA,
+                np.where(
+                    ~covered,
+                    BLOCK_OVERLAP,
+                    np.where(std_all[source] != 0, BLOCK_STD, NO_BLOCK),
+                ),
+            )
+
+        # Carry the stores still in the window at the end of the run.
+        self._seq = start + n
+        keep = position >= n - 1 - window
+        self._stores = np.column_stack(
+            (position + start + 1, addr_all, size_all, sta_all, std_all)
+        )[keep]
+        return codes
 
     def clear(self) -> None:
-        self._granules.clear()
-        self._fifo.clear()
+        self._stores = self._stores[:0]
 
     @property
     def occupancy(self) -> int:
         """Distinct granules currently tracked (post-expiry)."""
-        self._expire()
-        return len(self._granules)
+        live = self._stores[self._stores[:, 0] >= self._seq - self.window]
+        first, last = _granules(live[:, 1], live[:, 2])
+        covered = set()
+        for low, high in zip(first.tolist(), last.tolist()):
+            covered.update(range(low, high + 1))
+        return len(covered)

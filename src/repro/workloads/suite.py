@@ -44,24 +44,26 @@ def prewarm(core: SimulatedCore, params) -> None:
     ends up most-recently used.
     """
     config = core.config
-    line = config.l1d.line_bytes
-    page = config.dtlb.page_bytes
 
+    # Each structure is filled at its own granularity: the L1I line size
+    # need not match the data side's, nor the ITLB page the DTLB's.
     def fill_lines(cache, base: int, span: int, budget: int) -> None:
+        line = cache.config.line_bytes
         total = max(span // line, 1)
         step = max(total // max(budget, 1), 1)
         for index in range(0, total, step):
             cache.fill(base + index * line)
 
     def fill_pages(tlb, base: int, span: int, budget: int) -> None:
+        page = tlb.config.page_bytes
         total = max(span // page, 1)
         step = max(total // max(budget, 1), 1)
         for index in range(0, total, step):
             tlb.access(base + index * page)
 
-    l2_budget = int(config.l2.size_bytes // line * _PREWARM_FILL)
-    l1d_budget = int(config.l1d.size_bytes // line * _PREWARM_FILL)
-    l1i_budget = int(config.l1i.size_bytes // line * _PREWARM_FILL)
+    l2_budget = int(config.l2.size_bytes // config.l2.line_bytes * _PREWARM_FILL)
+    l1d_budget = int(config.l1d.size_bytes // config.l1d.line_bytes * _PREWARM_FILL)
+    l1i_budget = int(config.l1i.size_bytes // config.l1i.line_bytes * _PREWARM_FILL)
 
     from repro.simulator.isa import CODE_REGION_BASE
 
