@@ -17,6 +17,11 @@ Three independent evidence streams, one report shape:
 * :mod:`repro.conformance.certified` — every corpus-fitted model must
   pass the static verifier (:mod:`repro.verify`) and keep 10k uniform
   in-domain predictions inside its certified per-leaf intervals.
+* the ``reference_*`` node-model functions in
+  :mod:`repro.conformance.oracle` — the straight-line collinearity
+  filter, fit, term dropping and opposed-pair resolution that the node
+  state in :mod:`repro.core.tree.linear` must match bit for bit;
+  :class:`ReferenceM5Prime` fits with them, so CONF001 checks it.
 * :func:`repro.conformance.oracle.reference_run_block` — the
   per-instruction trace replay that
   :meth:`~repro.simulator.core.SimulatedCore.run_block` must match bit

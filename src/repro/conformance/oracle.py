@@ -1,17 +1,20 @@
 """Deliberately naive reference implementations (the oracles).
 
-Two optimized paths are checked against straight-line transcriptions
-here: M5' fitting (:class:`ReferenceM5Prime`, most of this module) and
-trace replay (:func:`reference_run_block`, at the end).
+Three optimized paths are checked against straight-line transcriptions
+here: M5' fitting (:class:`ReferenceM5Prime`, most of this module), its
+node models (the ``reference_*`` node-model functions) and trace replay
+(:func:`reference_run_block`, at the end).
 
 Every optimized M5' execution path in this package — the chunked vectorized
-split scan (:mod:`repro.core.tree.splitting`), the compiled flat-array
-inference (:mod:`repro.serve.compiled`), parallel cross-validation folds,
-cached artifacts, JSON round trips — promises to compute *exactly* the
-Quinlan/Wang–Witten M5' algorithm.  This module is the other side of
-that promise: a straight-line, textbook transcription of the algorithm
-with no vectorized split scan, no compiled arrays, no caching — just
-recursion, running sums and per-row tree walks.  The differential runner
+split scan (:mod:`repro.core.tree.splitting`), the per-call node state of
+the node-model primitives (:mod:`repro.core.tree.linear`), the compiled
+flat-array inference (:mod:`repro.serve.compiled`), parallel
+cross-validation folds, cached artifacts, JSON round trips — promises to
+compute *exactly* the Quinlan/Wang–Witten M5' algorithm.  This module is
+the other side of that promise: a straight-line, textbook transcription
+of the algorithm with no vectorized split scan, no shared node state, no
+compiled arrays, no caching — just recursion, running sums, a refit per
+candidate and per-row tree walks.  The differential runner
 (:mod:`repro.conformance.differential`) fits both implementations on the
 same data and asserts bit-identical trees and predictions.
 
@@ -23,13 +26,15 @@ deliberate exceptions keep the oracle honest about what it checks:
   :class:`~repro.core.tree.node.SplitNode` — they are dumb structs with
   no algorithmic content, and sharing them makes tree comparison and
   serialization checks trivial.
-* Node *linear-model fitting* (least squares, ridge, the greedy M5 term
-  dropping, the collinearity filters) is delegated to the shared
-  primitives in :mod:`repro.core.tree.linear`.  Those are not among the
-  optimized paths under test, and an independent reimplementation of
-  LAPACK-backed solvers cannot be bit-identical anyway.  The metamorphic
-  suite (:mod:`repro.conformance.metamorphic`) covers their behaviour
-  from the outside instead.
+* Node-model *solves* are shared: the LAPACK least-squares and ridge
+  solves (``np.linalg``) and the bounded scipy solve
+  (:func:`repro.core.tree.linear._bounded_fit`), which no independent
+  reimplementation could match bit for bit.  The orchestration around
+  them — the constant-column filter, the correlation ranking of the
+  collinearity filter, greedy term dropping and opposed-pair
+  resolution — is transcribed here and is under test.  The metamorphic
+  suite (:mod:`repro.conformance.metamorphic`) covers the solves from
+  the outside.
 * Scalar reductions call ``np.std`` / ``np.mean`` — numpy primitives,
   not repo code.
 
@@ -49,13 +54,7 @@ import numpy as np
 
 from repro._util import RandomState
 from repro.core.tree.builder import MODEL_ATTRIBUTE_POLICIES
-from repro.core.tree.linear import (
-    LinearModel,
-    fit_linear_model,
-    resolve_opposed_pairs,
-    select_uncorrelated,
-    simplify_model,
-)
+from repro.core.tree.linear import LinearModel, _bounded_fit
 from repro.core.tree.node import LeafNode, Node, SplitNode
 from repro.core.tree.smoothing import DEFAULT_SMOOTHING_K
 from repro.datasets.dataset import Dataset
@@ -212,8 +211,8 @@ class ReferenceM5Prime:
         path_attributes: FrozenSet[int],
         subtree_attributes: FrozenSet[int],
     ) -> LinearModel:
-        # Candidate policy transcription; the solves themselves are the
-        # shared primitives (see the module docstring for why).
+        # Candidate policy transcription; the node-model steps are the
+        # straight-line references below.
         if self.model_attributes == "all":
             candidates: FrozenSet[int] = frozenset(range(X.shape[1]))
         elif self.model_attributes == "subtree":
@@ -224,20 +223,20 @@ class ReferenceM5Prime:
             candidates = path_attributes | subtree_attributes
         usable: Sequence[int] = sorted(candidates)
         if self.collinearity_threshold < 1.0:
-            usable = select_uncorrelated(
+            usable = reference_select_uncorrelated(
                 X, y, sorted(candidates), self.collinearity_threshold
             )
-        model = fit_linear_model(
+        model = reference_fit_linear_model(
             X, y, sorted(usable), self._names, self.ridge,
             self._nonnegative_indices,
         )
         if self.simplify:
-            model = simplify_model(
+            model = reference_simplify_model(
                 X=X, y=y, model=model, attribute_names=self._names,
                 ridge=self.ridge, nonnegative=self._nonnegative_indices,
             )
         if self.collinearity_threshold < 1.0:
-            model = resolve_opposed_pairs(
+            model = reference_resolve_opposed_pairs(
                 model, X, y, self._names, self.ridge,
                 nonnegative=self._nonnegative_indices,
             )
@@ -450,6 +449,198 @@ def _assign_leaf_ids(root: Node) -> int:
             counter += 1
             node.leaf_id = counter
     return counter
+
+
+# ----------------------------------------------------------------------
+# Node-model oracle
+#
+# Each public primitive in :mod:`repro.core.tree.linear` works on one
+# per-call node state that computes column ranges, target moments and
+# correlations once and compares candidates on their raw solves.  The
+# functions below recompute every refit and correlation from the raw
+# columns and build a LinearModel per candidate.  Production must match
+# them bit for bit.
+
+
+def reference_select_uncorrelated(
+    X: np.ndarray,
+    y: np.ndarray,
+    candidate_indices: Sequence[int],
+    threshold: float = 0.95,
+) -> List[int]:
+    """Reference for :func:`repro.core.tree.linear.select_uncorrelated`."""
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigError(f"threshold must lie in (0, 1], got {threshold}")
+
+    def correlation(a: np.ndarray, b: np.ndarray) -> float:
+        if np.ptp(a) <= 1e-15 or np.ptp(b) <= 1e-15:
+            return 0.0
+        return float(np.corrcoef(a, b)[0, 1])
+
+    ranked = sorted(
+        candidate_indices, key=lambda j: -abs(correlation(X[:, j], y))
+    )
+    kept: List[int] = []
+    for index in ranked:
+        if all(
+            abs(correlation(X[:, index], X[:, other])) <= threshold
+            for other in kept
+        ):
+            kept.append(index)
+    return sorted(kept)
+
+
+def reference_fit_linear_model(
+    X: np.ndarray,
+    y: np.ndarray,
+    candidate_indices: Sequence[int],
+    attribute_names: Sequence[str],
+    ridge: float = 0.0,
+    nonnegative: Sequence[int] = (),
+) -> LinearModel:
+    """Reference for :func:`repro.core.tree.linear.fit_linear_model`."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = y.shape[0]
+    if n == 0:
+        raise DataError("cannot fit a linear model on zero instances")
+    if ridge < 0:
+        raise ConfigError(f"ridge must be non-negative, got {ridge}")
+
+    # Drop candidates with (numerically) constant columns: they are
+    # indistinguishable from the intercept.
+    usable: List[int] = []
+    for index in candidate_indices:
+        column = X[:, index]
+        if np.ptp(column) > 1e-12:
+            usable.append(index)
+    # Avoid saturated systems outright.
+    max_terms = max(n - 1, 0)
+    usable = usable[:max_terms]
+
+    if not usable:
+        mean = float(np.mean(y))
+        return LinearModel(
+            intercept=mean,
+            indices=(),
+            names=(),
+            coefficients=(),
+            n_training=n,
+            training_error=float(np.mean(np.abs(y - mean))),
+        )
+
+    columns = X[:, usable]
+    constrained = [position for position, idx in enumerate(usable) if idx in set(nonnegative)]
+    if constrained:
+        coefficients, intercept = _bounded_fit(columns, y, constrained, ridge)
+        residual = y - (columns @ coefficients + intercept)
+    elif ridge > 0:
+        # Center, penalize standardized coefficients, back-transform.
+        column_means = columns.mean(axis=0)
+        y_mean = float(y.mean())
+        centered = columns - column_means
+        scales = np.maximum(centered.std(axis=0), 1e-12)
+        gram = centered.T @ centered + ridge * n * np.diag(scales**2)
+        coefficients = np.linalg.solve(gram, centered.T @ (y - y_mean))
+        intercept = y_mean - float(coefficients @ column_means)
+        residual = y - (columns @ coefficients + intercept)
+    else:
+        design = np.column_stack([columns, np.ones(n)])
+        solution, *_ = np.linalg.lstsq(design, y, rcond=None)
+        coefficients = solution[:-1]
+        intercept = float(solution[-1])
+        residual = y - design @ solution
+    training_error = float(np.mean(np.abs(residual)))
+    return LinearModel(
+        intercept=intercept,
+        indices=tuple(int(i) for i in usable),
+        names=tuple(attribute_names[i] for i in usable),
+        coefficients=tuple(float(c) for c in coefficients),
+        n_training=n,
+        training_error=training_error,
+    )
+
+
+def reference_resolve_opposed_pairs(
+    model: LinearModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    attribute_names: Sequence[str],
+    ridge: float = 0.0,
+    corr_threshold: float = 0.75,
+    nonnegative: Sequence[int] = (),
+) -> LinearModel:
+    """Reference for :func:`repro.core.tree.linear.resolve_opposed_pairs`."""
+    current = model
+    while True:
+        offender = _reference_find_opposed_pair(current, X, y, corr_threshold)
+        if offender is None:
+            return current
+        remaining = [i for i in current.indices if i != offender]
+        current = reference_fit_linear_model(
+            X, y, remaining, attribute_names, ridge, nonnegative
+        )
+
+
+def _reference_find_opposed_pair(
+    model: LinearModel, X: np.ndarray, y: np.ndarray, corr_threshold: float
+):
+    """The index to drop from the worst opposed pair, or None."""
+
+    def correlation(a: np.ndarray, b: np.ndarray) -> float:
+        if np.ptp(a) <= 1e-15 or np.ptp(b) <= 1e-15:
+            return 0.0
+        return float(np.corrcoef(a, b)[0, 1])
+
+    for position_a in range(len(model.indices)):
+        for position_b in range(position_a + 1, len(model.indices)):
+            coef_a = model.coefficients[position_a]
+            coef_b = model.coefficients[position_b]
+            if coef_a * coef_b >= 0:
+                continue
+            index_a = model.indices[position_a]
+            index_b = model.indices[position_b]
+            if abs(correlation(X[:, index_a], X[:, index_b])) <= corr_threshold:
+                continue
+            keep_a = abs(correlation(X[:, index_a], y)) >= abs(
+                correlation(X[:, index_b], y)
+            )
+            return index_b if keep_a else index_a
+    return None
+
+
+def reference_simplify_model(
+    model: LinearModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    attribute_names: Sequence[str],
+    ridge: float = 0.0,
+    nonnegative: Sequence[int] = (),
+) -> LinearModel:
+    """Reference for :func:`repro.core.tree.linear.simplify_model`."""
+    current = model
+    current_error = current.adjusted_error()
+    while current.coefficients:
+        best_candidate: Optional[LinearModel] = None
+        best_error = current_error
+        for drop_position in range(len(current.indices)):
+            remaining = [
+                idx
+                for position, idx in enumerate(current.indices)
+                if position != drop_position
+            ]
+            candidate = reference_fit_linear_model(
+                X, y, remaining, attribute_names, ridge, nonnegative
+            )
+            candidate_error = candidate.adjusted_error()
+            if candidate_error <= best_error + 1e-12:
+                best_candidate = candidate
+                best_error = candidate_error
+        if best_candidate is None:
+            break
+        current = best_candidate
+        current_error = best_error
+    return current
 
 
 # ----------------------------------------------------------------------

@@ -10,13 +10,15 @@ as per-event performance impacts (its LM8/LM11 examples).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._util import format_float
-from repro.errors import DataError
+from repro.errors import ConfigError, DataError
 
 #: Pessimistic multiplier used when a model has at least as many
 #: parameters as instances (the (n+v)/(n-v) correction is undefined).
@@ -98,6 +100,167 @@ def adjusted_error(average_abs_error: float, n: int, n_parameters: int) -> float
     return average_abs_error * (n + n_parameters) / (n - n_parameters)
 
 
+class _Fit(NamedTuple):
+    """One subset solve: what a :class:`LinearModel` is built from."""
+
+    indices: Tuple[int, ...]
+    intercept: float
+    coefficients: Tuple[float, ...]
+    training_error: float
+
+
+#: The correlation key of the target column.
+_TARGET = None
+
+
+class _NodeState:
+    """What the refits and correlations inside one public call share.
+
+    Computed at most once per call, on first use: each column's ptp, the
+    target mean and centred target, each column's centred row and the
+    correlations (keyed by ordered pair).  Nothing whose float result
+    depends on array shape is shared: each subset recomputes its own
+    column means, scales and Gram matrix from its own columns, exactly
+    as a standalone fit does, because BLAS and numpy reductions may
+    accumulate in a different order for a different shape.  The state
+    is dropped when the call returns.
+    """
+
+    def __init__(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        ridge: float = 0.0,
+        nonnegative: Sequence[int] = (),
+    ) -> None:
+        self.X = np.asarray(X, dtype=np.float64)
+        self.y = np.asarray(y, dtype=np.float64)
+        self.n = self.y.shape[0]
+        self.ridge = ridge
+        self.nonnegative = frozenset(nonnegative)
+        self._rows: Dict[Optional[int], np.ndarray] = {}
+        self._correlations: Dict[Tuple[Optional[int], Optional[int]], float] = {}
+
+    @cached_property
+    def ptp(self) -> List[float]:
+        """Each column's range; max and min are exact, so any shape agrees."""
+        return np.ptp(self.X, axis=0).tolist()
+
+    @cached_property
+    def y_ptp(self) -> float:
+        return float(np.ptp(self.y))
+
+    @cached_property
+    def y_mean(self) -> float:
+        return float(self.y.mean())
+
+    @cached_property
+    def y_centred(self) -> np.ndarray:
+        return self.y - self.y_mean
+
+    # ------------------------------------------------------------------
+    def correlation(self, i: Optional[int], j: Optional[int]) -> float:
+        """``np.corrcoef(column_i, column_j)[0, 1]``, bit for bit.
+
+        ``None`` names the target.  Either side constant (ptp at most
+        1e-15) gives 0.0.  Swapping the arguments can change the last
+        bit, so the memo keys on the ordered pair.
+        """
+        key = (i, j)
+        value = self._correlations.get(key)
+        if value is None:
+            value = self._correlations[key] = self._corrcoef(i, j)
+        return value
+
+    def _spread(self, key: Optional[int]) -> float:
+        return self.y_ptp if key is _TARGET else self.ptp[key]
+
+    def _row(self, key: Optional[int]) -> np.ndarray:
+        """The column as a contiguous row minus its mean, as np.cov centres it."""
+        row = self._rows.get(key)
+        if row is None:
+            row = np.array(self.y if key is _TARGET else self.X[:, key])
+            row -= row.mean()
+            self._rows[key] = row
+        return row
+
+    def _corrcoef(self, i: Optional[int], j: Optional[int]) -> float:
+        if self._spread(i) <= 1e-15 or self._spread(j) <= 1e-15:
+            return 0.0
+        # np.corrcoef's arithmetic: one (2, n) product with its own
+        # transpose, scaled by 1/(n-1), divided by each standard
+        # deviation in turn, clipped to [-1, 1] (NaN passes through).
+        pair = np.array((self._row(i), self._row(j)))
+        (c_ii, c_ij), (_, c_jj) = np.dot(pair, pair.T).tolist()
+        scale = 1 / (self.n - 1)
+        # Past the guard some centred value is at least ptp / 2 in
+        # magnitude, so no variance is zero (non-finite data gives NaN,
+        # as in numpy).
+        value = c_ij * scale / math.sqrt(c_ii * scale) / math.sqrt(c_jj * scale)
+        if value > 1.0:
+            return 1.0
+        if value < -1.0:
+            return -1.0
+        return value
+
+    # ------------------------------------------------------------------
+    def fit(self, candidate_indices: Sequence[int]) -> _Fit:
+        """Least squares on the usable candidates; see fit_linear_model."""
+        y = self.y
+        n = self.n
+        ridge = self.ridge
+        if n == 0:
+            raise DataError("cannot fit a linear model on zero instances")
+        if ridge < 0:
+            raise ConfigError(f"ridge must be non-negative, got {ridge}")
+        # Constant columns are indistinguishable from the intercept, and
+        # saturated systems are avoided outright.
+        ptp = self.ptp
+        usable = tuple(index for index in candidate_indices if ptp[index] > 1e-12)
+        usable = usable[: max(n - 1, 0)]
+        if not usable:
+            error = float(np.mean(np.abs(self.y_centred)))
+            return _Fit((), self.y_mean, (), error)
+        columns = self.X[:, list(usable)]
+        constrained = [
+            position for position, idx in enumerate(usable) if idx in self.nonnegative
+        ]
+        if constrained:
+            coefficients, intercept = _bounded_fit(columns, y, constrained, ridge)
+            residual = y - (columns @ coefficients + intercept)
+        elif ridge > 0:
+            # Center, penalize standardized coefficients, back-transform.
+            column_means = columns.mean(axis=0)
+            centered = columns - column_means
+            scales = np.maximum(centered.std(axis=0), 1e-12)
+            gram = centered.T @ centered + ridge * n * np.diag(scales**2)
+            coefficients = np.linalg.solve(gram, centered.T @ self.y_centred)
+            intercept = self.y_mean - float(coefficients @ column_means)
+            residual = y - (columns @ coefficients + intercept)
+        else:
+            design = np.column_stack([columns, np.ones(n)])
+            solution, *_ = np.linalg.lstsq(design, y, rcond=None)
+            coefficients = solution[:-1]
+            intercept = float(solution[-1])
+            residual = y - design @ solution
+        return _Fit(
+            usable,
+            intercept,
+            tuple(coefficients.tolist()),
+            float(np.mean(np.abs(residual))),
+        )
+
+    def model(self, fit: _Fit, attribute_names: Sequence[str]) -> LinearModel:
+        return LinearModel(
+            intercept=fit.intercept,
+            indices=tuple(int(i) for i in fit.indices),
+            names=tuple(attribute_names[i] for i in fit.indices),
+            coefficients=fit.coefficients,
+            n_training=self.n,
+            training_error=fit.training_error,
+        )
+
+
 def select_uncorrelated(
     X: np.ndarray,
     y: np.ndarray,
@@ -115,23 +278,15 @@ def select_uncorrelated(
     The returned list is in ascending index order.
     """
     if not 0.0 < threshold <= 1.0:
-        from repro.errors import ConfigError
-
         raise ConfigError(f"threshold must lie in (0, 1], got {threshold}")
-
-    def correlation(a: np.ndarray, b: np.ndarray) -> float:
-        if np.ptp(a) <= 1e-15 or np.ptp(b) <= 1e-15:
-            return 0.0
-        return float(np.corrcoef(a, b)[0, 1])
-
+    state = _NodeState(X, y)
     ranked = sorted(
-        candidate_indices, key=lambda j: -abs(correlation(X[:, j], y))
+        candidate_indices, key=lambda j: -abs(state.correlation(j, _TARGET))
     )
     kept: List[int] = []
     for index in ranked:
         if all(
-            abs(correlation(X[:, index], X[:, other])) <= threshold
-            for other in kept
+            abs(state.correlation(index, other)) <= threshold for other in kept
         ):
             kept.append(index)
     return sorted(kept)
@@ -161,60 +316,8 @@ def fit_linear_model(
             which cannot make the machine faster.  Solved with a bounded
             least-squares solver (scipy) when any constraint applies.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    if n == 0:
-        raise DataError("cannot fit a linear model on zero instances")
-    if ridge < 0:
-        from repro.errors import ConfigError
-
-        raise ConfigError(f"ridge must be non-negative, got {ridge}")
-
-    # Drop candidates with (numerically) constant columns: they are
-    # indistinguishable from the intercept.
-    usable: List[int] = []
-    for index in candidate_indices:
-        column = X[:, index]
-        if np.ptp(column) > 1e-12:
-            usable.append(index)
-    # Avoid saturated systems outright.
-    max_terms = max(n - 1, 0)
-    usable = usable[:max_terms]
-
-    if not usable:
-        return _mean_model(y, n)
-
-    columns = X[:, usable]
-    constrained = [position for position, idx in enumerate(usable) if idx in set(nonnegative)]
-    if constrained:
-        coefficients, intercept = _bounded_fit(columns, y, constrained, ridge)
-        residual = y - (columns @ coefficients + intercept)
-    elif ridge > 0:
-        # Center, penalize standardized coefficients, back-transform.
-        column_means = columns.mean(axis=0)
-        y_mean = float(y.mean())
-        centered = columns - column_means
-        scales = np.maximum(centered.std(axis=0), 1e-12)
-        gram = centered.T @ centered + ridge * n * np.diag(scales**2)
-        coefficients = np.linalg.solve(gram, centered.T @ (y - y_mean))
-        intercept = y_mean - float(coefficients @ column_means)
-        residual = y - (columns @ coefficients + intercept)
-    else:
-        design = np.column_stack([columns, np.ones(n)])
-        solution, *_ = np.linalg.lstsq(design, y, rcond=None)
-        coefficients = solution[:-1]
-        intercept = float(solution[-1])
-        residual = y - design @ solution
-    training_error = float(np.mean(np.abs(residual)))
-    return LinearModel(
-        intercept=intercept,
-        indices=tuple(int(i) for i in usable),
-        names=tuple(attribute_names[i] for i in usable),
-        coefficients=tuple(float(c) for c in coefficients),
-        n_training=n,
-        training_error=training_error,
-    )
+    state = _NodeState(X, y, ridge, nonnegative)
+    return state.model(state.fit(candidate_indices), attribute_names)
 
 
 def _bounded_fit(
@@ -247,18 +350,6 @@ def _bounded_fit(
     return solution[:-1], float(solution[-1])
 
 
-def _mean_model(y: np.ndarray, n: int) -> LinearModel:
-    mean = float(np.mean(y))
-    return LinearModel(
-        intercept=mean,
-        indices=(),
-        names=(),
-        coefficients=(),
-        n_training=n,
-        training_error=float(np.mean(np.abs(y - mean))),
-    )
-
-
 def resolve_opposed_pairs(
     model: LinearModel,
     X: np.ndarray,
@@ -279,39 +370,34 @@ def resolve_opposed_pairs(
     target is dropped and the model refitted, repeating until no such
     pair remains.  Well-behaved models pass through unchanged.
     """
-    current = model
+    state = _NodeState(X, y, ridge, nonnegative)
+    indices, coefficients = model.indices, model.coefficients
+    resolved: Optional[_Fit] = None
     while True:
-        offender = _find_opposed_pair(current, X, y, corr_threshold)
+        offender = _find_opposed_pair(state, indices, coefficients, corr_threshold)
         if offender is None:
-            return current
-        remaining = [i for i in current.indices if i != offender]
-        current = fit_linear_model(
-            X, y, remaining, attribute_names, ridge, nonnegative
-        )
+            return model if resolved is None else state.model(resolved, attribute_names)
+        resolved = state.fit([i for i in indices if i != offender])
+        indices, coefficients = resolved.indices, resolved.coefficients
 
 
 def _find_opposed_pair(
-    model: LinearModel, X: np.ndarray, y: np.ndarray, corr_threshold: float
+    state: _NodeState,
+    indices: Sequence[int],
+    coefficients: Sequence[float],
+    corr_threshold: float,
 ):
     """The index to drop from the worst opposed pair, or None."""
-
-    def correlation(a: np.ndarray, b: np.ndarray) -> float:
-        if np.ptp(a) <= 1e-15 or np.ptp(b) <= 1e-15:
-            return 0.0
-        return float(np.corrcoef(a, b)[0, 1])
-
-    for position_a in range(len(model.indices)):
-        for position_b in range(position_a + 1, len(model.indices)):
-            coef_a = model.coefficients[position_a]
-            coef_b = model.coefficients[position_b]
-            if coef_a * coef_b >= 0:
+    for position_a in range(len(indices)):
+        for position_b in range(position_a + 1, len(indices)):
+            if coefficients[position_a] * coefficients[position_b] >= 0:
                 continue
-            index_a = model.indices[position_a]
-            index_b = model.indices[position_b]
-            if abs(correlation(X[:, index_a], X[:, index_b])) <= corr_threshold:
+            index_a = indices[position_a]
+            index_b = indices[position_b]
+            if abs(state.correlation(index_a, index_b)) <= corr_threshold:
                 continue
-            keep_a = abs(correlation(X[:, index_a], y)) >= abs(
-                correlation(X[:, index_b], y)
+            keep_a = abs(state.correlation(index_a, _TARGET)) >= abs(
+                state.correlation(index_b, _TARGET)
             )
             return index_b if keep_a else index_a
     return None
@@ -330,28 +416,25 @@ def simplify_model(
     At each step, every remaining term is tentatively removed (with a
     refit); the best resulting model replaces the current one if its
     adjusted error is no worse.  The constant (mean) model is always a
-    candidate endpoint.
+    candidate endpoint.  Only the final model is built as a
+    :class:`LinearModel`; candidates are compared on their solves.
     """
-    current = model
-    current_error = current.adjusted_error()
-    while current.coefficients:
-        best_candidate: Optional[LinearModel] = None
-        best_error = current_error
-        for drop_position in range(len(current.indices)):
-            remaining = [
-                idx
-                for position, idx in enumerate(current.indices)
-                if position != drop_position
-            ]
-            candidate = fit_linear_model(
-                X, y, remaining, attribute_names, ridge, nonnegative
+    state = _NodeState(X, y, ridge, nonnegative)
+    indices = model.indices
+    best_error = model.adjusted_error()
+    best: Optional[_Fit] = None
+    while indices:
+        step: Optional[_Fit] = None
+        for drop_position in range(len(indices)):
+            candidate = state.fit(indices[:drop_position] + indices[drop_position + 1:])
+            candidate_error = adjusted_error(
+                candidate.training_error, state.n, len(candidate.indices) + 1
             )
-            candidate_error = candidate.adjusted_error()
             if candidate_error <= best_error + 1e-12:
-                best_candidate = candidate
+                step = candidate
                 best_error = candidate_error
-        if best_candidate is None:
+        if step is None:
             break
-        current = best_candidate
-        current_error = best_error
-    return current
+        best = step
+        indices = step.indices
+    return model if best is None else state.model(best, attribute_names)
