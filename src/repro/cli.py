@@ -332,10 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="registry directory (default: <cache>/registry)")
     serve.add_argument("--max-batch", type=int, default=256,
                        help="rows per coalesced predictor batch (default 256)")
-    serve.add_argument("--max-wait", type=float, default=0.002,
-                       metavar="SECONDS",
-                       help="how long a batch holds for stragglers "
-                       "(default 0.002)")
     serve.add_argument("--task-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-request wall-clock budget; past it the "
@@ -1074,8 +1070,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-class _DrainRequested(Exception):
-    """Raised from the SIGTERM handler to unwind ``serve_forever``."""
+class _DrainRequested(BaseException):
+    """Raised from the SIGTERM handler to unwind ``serve_forever``.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: the signal can land
+    while the serve loop is starting a request thread, and
+    ``socketserver`` logs any ``Exception`` raised there and keeps
+    serving, which would lose the drain.
+    """
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1100,7 +1102,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_s=args.max_wait,
         task_timeout=args.task_timeout,
         max_inflight=args.max_inflight,
     )
@@ -1153,7 +1154,6 @@ def _serve_fleet(args: argparse.Namespace) -> int:
         "mode": args.mode or "router",
         "registry_dir": args.registry,
         "max_batch": args.max_batch,
-        "max_wait_s": args.max_wait,
         "task_timeout": args.task_timeout,
         "drain_timeout_s": args.drain_timeout,
     }

@@ -45,7 +45,6 @@ Finding = Tuple[str, str]
 
 #: Keys that must be positive when present (timeouts, rates).
 _POSITIVE_KEYS = (
-    "max_wait_s",
     "retry_after_s",
     "probe_interval_s",
     "probe_timeout_s",

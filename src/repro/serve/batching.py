@@ -3,10 +3,13 @@
 The compiled predictor's fixed cost (routing setup, per-leaf grouping)
 amortizes over rows, so a server handling many concurrent single-section
 requests wants to score them together.  :class:`BatchQueue` runs one
-consumer thread that drains the queue into a batch — up to
-``max_batch`` rows, waiting at most ``max_wait_s`` after the first
-arrival — evaluates once, and scatters results back to the waiting
-handler threads.
+consumer thread that takes the first request together with whatever is
+already queued behind it — up to ``max_batch`` rows — evaluates once,
+and scatters results back to the waiting handler threads.  Batches form
+from contention: requests that arrive while the evaluator is busy queue
+up and leave together in the next batch.  Nothing is held open waiting
+for stragglers, so a lone request never pays for a batch that does not
+come.
 
 Deadlines follow the :class:`~repro.resilience.RunPolicy` timeout
 semantics: a request carries a wall-clock budget, a request still queued
@@ -50,8 +53,6 @@ class BatchQueue:
     Args:
         evaluate: Batch evaluator, ``(n, d) array -> (n,) array``.
         max_batch: Row budget per evaluation.
-        max_wait_s: How long the consumer holds the first request open
-            for stragglers.  Zero means "whatever is already queued".
         observe_batch: Optional callback receiving each evaluated batch's
             row count (feeds the batch-size histogram).
     """
@@ -60,16 +61,12 @@ class BatchQueue:
         self,
         evaluate: Callable[[np.ndarray], np.ndarray],
         max_batch: int = 256,
-        max_wait_s: float = 0.002,
         observe_batch: Optional[Callable[[int], None]] = None,
     ) -> None:
         if max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_s < 0:
-            raise ConfigError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.evaluate = evaluate
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self.observe_batch = observe_batch
         self._queue: "queue.Queue[_Pending]" = queue.Queue()
         self._stop = threading.Event()
@@ -130,21 +127,16 @@ class BatchQueue:
 
     # ------------------------------------------------------------------
     def _collect(self) -> List[_Pending]:
-        """Block for the first request, then drain stragglers."""
+        """Block for the first request, then take what is already queued."""
         try:
             first = self._queue.get(timeout=0.05)
         except queue.Empty:
             return []
         batch = [first]
         n_rows = first.rows.shape[0]
-        hold_until = time.monotonic() + self.max_wait_s
         while n_rows < self.max_batch:
-            remaining = hold_until - time.monotonic()
             try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             batch.append(item)

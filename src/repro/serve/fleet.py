@@ -19,10 +19,11 @@ Two topologies (``FleetConfig.mode``):
   The router is an HTTP-aware reverse proxy: it buffers each request,
   forwards it to a healthy worker over a fresh connection, buffers the
   response, and relays it.  Because predictions are pure, a transport
-  failure mid-forward (the worker died) is retried on the next healthy
-  worker — the client never sees a connection reset, only complete
-  responses.  When no worker is in rotation the router sheds with the
-  standard 503 envelope (``reason: degraded``) and ``Retry-After``.
+  failure mid-forward (the worker died) or a ``draining`` shed (the
+  worker is being retired) is retried on the next healthy worker — the
+  client never sees a connection reset, only complete responses.  When
+  no worker is in rotation the router sheds with the standard 503
+  envelope (``reason: degraded``) and ``Retry-After``.
 * ``reuseport`` — every worker binds the *same* public port with
   ``SO_REUSEPORT`` and the kernel balances connections.  No router hop,
   but no retry-on-crash either (a killed worker's accepted connections
@@ -58,7 +59,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, fields
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -68,7 +68,12 @@ from repro.resilience.faults import active_plan
 from repro.resilience.retry import RetryPolicy
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import SCHEMA, ModelServer
+from repro.serve.server import (
+    SCHEMA,
+    ModelServer,
+    ServeHTTPServer,
+    ServeRequestHandler,
+)
 from repro.serve.supervisor import Supervisor
 
 __all__ = ["FleetConfig", "ServingFleet", "WorkerHandle", "MODES"]
@@ -94,7 +99,6 @@ class FleetConfig:
     mode: str = "router"
     registry_dir: Optional[str] = None
     max_batch: int = 256
-    max_wait_s: float = 0.002
     task_timeout: Optional[float] = None
     max_inflight: Optional[int] = 64
     retry_after_s: float = 1.0
@@ -225,7 +229,6 @@ def _worker_main(config_dict: Dict[str, Any], index: int, conn: Any) -> None:
             host=config.host,
             port=config.port if config.mode == "reuseport" else 0,
             max_batch=config.max_batch,
-            max_wait_s=config.max_wait_s,
             task_timeout=config.task_timeout,
             max_inflight=config.max_inflight,
             retry_after_s=config.retry_after_s,
@@ -304,14 +307,14 @@ class ServingFleet:
         self._router_retries = self.metrics.counter(
             "repro_router_retries_total",
             "Forward attempts retried on another worker after a "
-            "transport failure.",
+            "transport failure or a draining shed.",
         )
         self._shed = self.metrics.counter(
             "repro_shed_total",
             "Requests the router refused outright, by reason.",
             ("reason",),
         )
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[ServeHTTPServer] = None
         self._stop = threading.Event()
         self._supervise_thread: Optional[threading.Thread] = None
         self._events: Deque[str] = deque(maxlen=50)
@@ -413,10 +416,9 @@ class ServingFleet:
         self.supervisor.start()
         if self.config.mode == "router":
             handler = _make_router_handler(self)
-            self._httpd = ThreadingHTTPServer(
+            self._httpd = ServeHTTPServer(
                 (self.config.host, self.config.port), handler
             )
-            self._httpd.daemon_threads = True
         self._stop.clear()
         self._supervise_thread = threading.Thread(
             target=self._supervise_loop, name="repro-supervisor", daemon=True
@@ -523,12 +525,16 @@ class ServingFleet:
         Transport failures (the worker died or hung) move on to the
         next healthy worker — safe because predictions are pure — so a
         mid-request worker crash costs the client latency, never a
-        reset.  Whatever HTTP response a worker produces (including its
-        503 shed envelopes) is relayed verbatim.
+        reset.  So does a worker's ``draining`` shed: a rollout drains
+        the old worker right after swapping it out of rotation, and a
+        request routed from an earlier snapshot must not fail for it.
+        Every other HTTP response a worker produces (including its
+        other 503 shed envelopes) is relayed verbatim.
 
         Raises:
             FleetError: No worker is in rotation, or every one failed
-                at the transport level; the router sheds the request.
+                at the transport level or was draining; the router
+                sheds the request.
         """
         rotation = self._rotation()
         if not rotation:
@@ -538,13 +544,17 @@ class ServingFleet:
             if attempt > 0:
                 self._router_retries.inc()
             try:
-                return self._forward_once(handle, method, path, body)
+                reply = self._forward_once(handle, method, path, body)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
+            if reply[0] == 503 and _shed_reason(reply[2]) == "draining":
+                last_error = FleetError(f"worker {handle.index} is draining")
+                continue
+            return reply
         raise FleetError(
-            f"every healthy worker failed at the transport level "
-            f"({last_error})"
+            f"every healthy worker failed at the transport level or was "
+            f"draining ({last_error})"
         )
 
     def _forward_once(
@@ -572,41 +582,23 @@ class ServingFleet:
             conn.close()
 
 
+def _shed_reason(payload: bytes) -> Optional[str]:
+    """The ``reason`` of a worker's 503 envelope, if it carries one."""
+    try:
+        document = json.loads(payload)
+    except ValueError:
+        return None
+    return document.get("reason") if isinstance(document, dict) else None
+
+
 # ----------------------------------------------------------------------
 # Router HTTP surface
 # ----------------------------------------------------------------------
 def _make_router_handler(fleet: ServingFleet):
     """The front router's request handler, closed over the fleet."""
 
-    class RouterHandler(BaseHTTPRequestHandler):
+    class RouterHandler(ServeRequestHandler):
         server_version = "repro-fleet/" + SCHEMA.rsplit("/", 1)[-1]
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format: str, *args) -> None:  # noqa: A002
-            pass
-
-        def _send_json(
-            self, status: int, document: Dict,
-            extra_headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            body = json.dumps(document).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (extra_headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-
-        def _send_raw(
-            self, status: int, headers: Dict[str, str], body: bytes
-        ) -> None:
-            self.send_response(status)
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
 
         def _shed(self, endpoint: str, message: str) -> None:
             reason = "degraded"
@@ -614,7 +606,7 @@ def _make_router_handler(fleet: ServingFleet):
             retry_after = str(
                 max(1, math.ceil(fleet.config.retry_after_s))
             )
-            self._send_json(
+            self.reply_json(
                 503,
                 {
                     "schema": SCHEMA,
@@ -636,7 +628,7 @@ def _make_router_handler(fleet: ServingFleet):
                 self._shed(endpoint, str(exc))
                 return
             try:
-                self._send_raw(status, headers, payload)
+                self.reply(status, payload, headers)
             except (BrokenPipeError, OSError):
                 status = 499
             fleet._router_requests.inc(endpoint, str(status))
@@ -651,7 +643,7 @@ def _make_router_handler(fleet: ServingFleet):
             if path == "/healthz":
                 status = fleet.supervisor.status()
                 healthy = status["healthy_workers"]
-                self._send_json(200, {
+                self.reply_json(200, {
                     "schema": SCHEMA,
                     "status": (
                         "degraded"
@@ -662,12 +654,12 @@ def _make_router_handler(fleet: ServingFleet):
                 })
                 fleet._router_requests.inc("/healthz", "200")
             elif path == "/fleet/status":
-                self._send_json(200, fleet.status())
+                self.reply_json(200, fleet.status())
                 fleet._router_requests.inc("/fleet/status", "200")
             elif path == "/metrics":
-                body = fleet.metrics.render().encode("utf-8")
-                self._send_raw(
-                    200, {"Content-Type": "text/plain; version=0.0.4"}, body
+                self.reply(
+                    200, fleet.metrics.render().encode("utf-8"),
+                    {"Content-Type": "text/plain; version=0.0.4"},
                 )
                 fleet._router_requests.inc("/metrics", "200")
             else:
@@ -696,12 +688,12 @@ def _make_router_handler(fleet: ServingFleet):
                     str(payload["name"]), str(payload["alias"]), version
                 )
             except (ValueError, ReproError) as exc:
-                self._send_json(400, {
+                self.reply_json(400, {
                     "schema": SCHEMA, "error": str(exc), "status": 400,
                 })
                 fleet._router_requests.inc("/fleet/rollout", "400")
                 return
-            self._send_json(200, {
+            self.reply_json(200, {
                 "schema": SCHEMA, "status": "ok", "events": events,
             })
             fleet._router_requests.inc("/fleet/rollout", "200")

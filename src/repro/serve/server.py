@@ -33,6 +33,10 @@ listening socket closes first (new requests are refused), in-flight
 requests get up to the drain timeout to finish, then batch queues stop.
 The CLI wires SIGTERM to this path so an orchestrator's stop is never a
 dropped request.
+
+Transport: both HTTP surfaces, this server and the fleet router in
+:mod:`repro.serve.fleet`, run on :class:`ServeHTTPServer` and
+:class:`ServeRequestHandler`, one socket policy for the two.
 """
 
 from __future__ import annotations
@@ -71,10 +75,99 @@ from repro.verify import verify_model
 if TYPE_CHECKING:
     from repro.verify.certificate import VerificationCertificate
 
-__all__ = ["ModelServer", "SCHEMA"]
+__all__ = ["ModelServer", "SCHEMA", "ServeHTTPServer", "ServeRequestHandler"]
 
 #: Envelope identity on every JSON response; bump on breaking changes.
 SCHEMA = "repro-serve/1"
+
+
+class ServeHTTPServer(ThreadingHTTPServer):
+    """The listening server of both HTTP surfaces.
+
+    Request threads are daemons (``ThreadingHTTPServer``'s default), the
+    listen backlog is ``socket.SOMAXCONN`` instead of ``socketserver``'s
+    5 — past the backlog a connect waits out a 1 s SYN retransmit — and
+    :meth:`shutdown` is safe whether or not a serve loop ever ran.
+    """
+
+    request_queue_size = socket.SOMAXCONN
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._loop_lock = threading.Lock()
+        self._loop_started = False
+        self._loop_stopped = False
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        with self._loop_lock:
+            if self._loop_stopped:
+                return
+            self._loop_started = True
+        super().serve_forever(poll_interval)
+
+    def shutdown(self) -> None:
+        """Stop the serve loop if one started.
+
+        ``socketserver``'s own ``shutdown`` waits for a loop to
+        acknowledge, so after ``start()`` without ``serve_forever()`` it
+        would wait forever; a loop that starts after this returns at
+        once.
+        """
+        with self._loop_lock:
+            self._loop_stopped = True
+            started = self._loop_started
+        if started:
+            super().shutdown()
+
+
+class ServeRequestHandler(BaseHTTPRequestHandler):
+    """The reply transport of both HTTP surfaces.
+
+    ``http.server`` sends a reply's headers and body as two ``send()``
+    calls.  With Nagle's algorithm on, the body then waits for the
+    client's delayed ACK — about 40 ms on Linux — on every keep-alive
+    reply.  Here the write file is buffered and Nagle is off (the
+    pairing ``socketserver`` recommends), and :meth:`reply` flushes
+    headers and body together, so a transport error (the client went
+    away) raises inside the reply helper where the caller counts it.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    wbufsize = -1
+
+    # Silence the default per-request stderr logging; metrics carry the
+    # signal.
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        pass
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must reach the client before it sends the body.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def reply(
+        self, status: int, body: bytes,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Send one complete reply and flush it before returning."""
+        self.send_response(status)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.wfile.flush()
+
+    def reply_json(
+        self, status: int, document: Dict,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self.reply(
+            status, json.dumps(document).encode("utf-8"),
+            {"Content-Type": "application/json", **(headers or {})},
+        )
 
 
 @dataclass
@@ -102,7 +195,7 @@ class ModelServer:
         default_model: Spec requests use when they name no model.
         host, port: Bind address; port 0 asks the OS for an ephemeral
             port (``bound_port`` reports the outcome).
-        max_batch, max_wait_s: Batching knobs (see
+        max_batch: Row budget per coalesced evaluation (see
             :class:`~repro.serve.batching.BatchQueue`).
         task_timeout: Per-request wall-clock budget in seconds, the
             ``RunPolicy.task_timeout`` semantics; ``None`` disables.
@@ -125,7 +218,6 @@ class ModelServer:
         host: str = "127.0.0.1",
         port: int = 8377,
         max_batch: int = 256,
-        max_wait_s: float = 0.002,
         task_timeout: Optional[float] = None,
         range_slack: float = 0.10,
         max_inflight: Optional[int] = None,
@@ -141,7 +233,6 @@ class ModelServer:
         self.host = host
         self.port = int(port)
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self.task_timeout = task_timeout
         self.range_slack = float(range_slack)
         self.max_inflight = max_inflight
@@ -150,7 +241,7 @@ class ModelServer:
         self._models: Dict[str, ServedModel] = {}
         self._by_digest: Dict[str, ServedModel] = {}
         self._models_lock = threading.Lock()
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[ServeHTTPServer] = None
         self._draining = threading.Event()
         self._inflight = 0
         self._inflight_cv = threading.Condition()
@@ -249,7 +340,6 @@ class ModelServer:
         queue = BatchQueue(
             evaluate,
             max_batch=self.max_batch,
-            max_wait_s=self.max_wait_s,
             observe_batch=lambda n: self._batch_rows.observe(n),
         ).start()
         served = ServedModel(label=label, model=model, queue=queue, drift=drift)
@@ -475,10 +565,9 @@ class ModelServer:
         if self._httpd is not None:
             raise ServeError("server already started")
         handler = _make_handler(self)
-        httpd = ThreadingHTTPServer(
+        httpd = ServeHTTPServer(
             (self.host, self.port), handler, bind_and_activate=False
         )
-        httpd.daemon_threads = True
         try:
             if self.reuse_port:
                 if not hasattr(socket, "SO_REUSEPORT"):
@@ -589,29 +678,10 @@ def _sections_matrix(payload: Dict, model) -> Tuple[np.ndarray, bool]:
 def _make_handler(app: ModelServer):
     """A request-handler class closed over the server instance."""
 
-    class Handler(BaseHTTPRequestHandler):
+    class Handler(ServeRequestHandler):
         server_version = "repro-serve/" + SCHEMA.rsplit("/", 1)[-1]
-        protocol_version = "HTTP/1.1"
-
-        # Silence the default per-request stderr logging; metrics carry
-        # the signal.
-        def log_message(self, format: str, *args) -> None:  # noqa: A002
-            pass
 
         # -- plumbing ---------------------------------------------------
-        def _send_json(
-            self, status: int, document: Dict,
-            extra_headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            body = json.dumps(document).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (extra_headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-
         def _send_error(
             self, status: int, message: str,
             reason: Optional[str] = None,
@@ -629,7 +699,7 @@ def _make_handler(app: ModelServer):
                 document["retry_after"] = int(headers["Retry-After"])
             elif reason is not None:
                 document["reason"] = reason
-            self._send_json(status, document, headers)
+            self.reply_json(status, document, headers)
 
         def _read_payload(self) -> Dict:
             length = int(self.headers.get("Content-Length") or 0)
@@ -710,7 +780,7 @@ def _make_handler(app: ModelServer):
                     pass
             else:
                 try:
-                    self._send_json(status, document)
+                    self.reply_json(status, document)
                 except BrokenPipeError:
                     status = 499
             self._finish(endpoint, started, status)
@@ -724,14 +794,10 @@ def _make_handler(app: ModelServer):
                 self._dispatch("/models", app.handle_models)
             elif path == "/metrics":
                 started = time.perf_counter()
-                body = app.render_metrics().encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4"
+                self.reply(
+                    200, app.render_metrics().encode("utf-8"),
+                    {"Content-Type": "text/plain; version=0.0.4"},
                 )
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
                 self._finish("/metrics", started, 200)
             else:
                 started = time.perf_counter()

@@ -9,15 +9,18 @@ signal it for real.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
 import urllib.request
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _DrainRequested, build_parser, main
 from repro.serve.registry import ModelRegistry
+from repro.serve.server import ServeHTTPServer
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -126,6 +129,24 @@ class TestSigtermDrain:
         process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=60) == 0
         assert "fleet drained and stopped" in process.stderr.read()
+
+    def test_drain_is_not_swallowed_while_a_request_thread_starts(self):
+        # The SIGTERM handler raises wherever the main thread is.  Right
+        # after a fast reply that is often inside the serve loop's
+        # thread start, where socketserver logs an Exception and serves
+        # on; the drain must unwind the loop instead.
+        class Interrupted(ServeHTTPServer):
+            def process_request(self, request, client_address):
+                raise _DrainRequested
+
+        httpd = Interrupted(("127.0.0.1", 0), BaseHTTPRequestHandler)
+        httpd.timeout = 5
+        try:
+            socket.create_connection(httpd.server_address, timeout=5).close()
+            with pytest.raises(_DrainRequested):
+                httpd.handle_request()
+        finally:
+            httpd.server_close()
 
 
 class TestLoadtestCommand:

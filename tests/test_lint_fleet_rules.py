@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.errors import LintError
+from repro.errors import FleetError, LintError
 from repro.lint import FAMILY_FLEET, lint_fleet, run_lint
 from repro.lint.diagnostics import Severity
+from repro.serve.fleet import FleetConfig
 
 
 def rule_ids(report):
@@ -51,6 +52,16 @@ class TestDocumentLoading:
         report = lint_fleet({"wrokers": 4})
         assert rule_ids(report) == ["FLEET001"]
         assert "wrokers" in report.diagnostics[0].message
+
+    def test_removed_max_wait_key_rejected(self):
+        # Batches form from contention; there is no batching hold left
+        # to configure, so an old config naming one must not pass.
+        document = {"max_wait_s": 0.002}
+        with pytest.raises(FleetError, match="max_wait_s"):
+            FleetConfig.from_dict(document)
+        report = lint_fleet(document)
+        assert rule_ids(report) == ["FLEET001"]
+        assert "max_wait_s" in report.diagnostics[0].message
 
 
 class TestValueRules:

@@ -7,6 +7,7 @@ The chaos cases lean on the deterministic ``REPRO_FAULTS`` sites —
 availability claim here is assertable, not probabilistic.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -145,6 +146,38 @@ class TestRouting:
         assert status == 404
         assert "error" in document
 
+    def test_back_to_back_predicts_do_not_stall(self, fleet, suite_dataset):
+        # One persistent client connection through the router: each
+        # relayed reply must leave as one write, not wait out the
+        # client's delayed ACK.
+        body = json.dumps({"section": suite_dataset.X[0].tolist()})
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", fleet.bound_port, timeout=15
+        )
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("POST", "/predict", body,
+                             {"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["n"] == 1
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.4
+
+
+class TestLifecycle:
+    def test_shutdown_without_serve_loop_returns(self, fleet_registry):
+        serving = ServingFleet(make_config(fleet_registry, workers=1)).start()
+        finished = threading.Event()
+        stopper = threading.Thread(
+            target=lambda: (serving.shutdown(), finished.set()), daemon=True
+        )
+        stopper.start()
+        assert finished.wait(timeout=2.0)
+
 
 class TestCrashResilience:
     def test_kill_one_worker_mid_traffic_no_client_failures(
@@ -208,6 +241,31 @@ class TestRollout:
             fleet.bound_port, "/predict", {"section": row}
         )
         assert document["model"] == f"cpi-tree@{record.version}"
+
+    def test_draining_worker_is_retried_on_the_next(
+        self, fleet, suite_dataset, monkeypatch
+    ):
+        # A rollout drains the old worker right after swapping it out of
+        # rotation; a request routed to it from an earlier snapshot must
+        # be answered by another worker, not shed.
+        forward_once = fleet._forward_once
+        tried = []
+
+        def first_worker_draining(handle, method, path, body):
+            tried.append(handle.index)
+            if len(tried) == 1:
+                shed = {"schema": "repro-serve/1", "error": "draining",
+                        "status": 503, "reason": "draining",
+                        "retry_after": 1}
+                return 503, {"Retry-After": "1"}, json.dumps(shed).encode()
+            return forward_once(handle, method, path, body)
+
+        monkeypatch.setattr(fleet, "_forward_once", first_worker_draining)
+        body = json.dumps({"section": suite_dataset.X[0].tolist()}).encode()
+        status, _, payload = fleet.forward("POST", "/predict", body)
+        assert status == 200
+        assert json.loads(payload)["n"] == 1
+        assert len(tried) == 2 and tried[0] != tried[1]
 
     def test_rollout_bad_payload_400(self, fleet):
         status, _, document = call(

@@ -1,6 +1,10 @@
 """The HTTP surface: envelopes, errors, batching, and the e2e flow."""
 
+import errno
+import http.client
 import json
+import selectors
+import socket
 import threading
 import time
 import urllib.error
@@ -95,6 +99,49 @@ class TestPredictEnvelope:
         })
         assert status == 200
         assert document["model"] == "cpi-tree@1"
+
+
+class TestKeepAlive:
+    def test_back_to_back_predicts_do_not_stall(self, server, suite_dataset):
+        # A reply sent as headers and body in two writes with Nagle on
+        # waits for the client's delayed ACK (~40 ms) on every reuse of
+        # the connection; urllib opens one connection per request and
+        # never sees it.
+        body = json.dumps({"section": suite_dataset.X[0].tolist()})
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.bound_port, timeout=10
+        )
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("POST", "/predict", body,
+                             {"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["n"] == 1
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.4
+
+    def test_expect_100_continue_is_answered_before_the_body(
+        self, server, suite_dataset
+    ):
+        # Replies are buffered until flushed; the interim 100 must not
+        # wait in that buffer, since the client holds its body for it.
+        body = json.dumps({"section": suite_dataset.X[0].tolist()}).encode()
+        with socket.create_connection(
+            ("127.0.0.1", server.bound_port), timeout=2
+        ) as sock:
+            sock.sendall(
+                b"POST /predict HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(64).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
 
 
 class TestExplainEnvelope:
@@ -229,12 +276,18 @@ class TestEndToEnd:
 
 class TestBatchQueue:
     def test_concurrent_submissions_coalesce(self, suite_tree, suite_dataset):
+        # Batches form from contention: the first evaluation holds the
+        # evaluator until the other seven requests are queued behind it.
         batches = []
+        busy, release = threading.Event(), threading.Event()
+
+        def evaluate(X):
+            busy.set()
+            assert release.wait(timeout=5)
+            return suite_tree.compiled_.predict(X)
+
         queue = BatchQueue(
-            suite_tree.compiled_.predict,
-            max_batch=64,
-            max_wait_s=0.05,
-            observe_batch=batches.append,
+            evaluate, max_batch=64, observe_batch=batches.append,
         ).start()
         try:
             X = suite_dataset.X
@@ -246,10 +299,18 @@ class TestBatchQueue:
             threads = [
                 threading.Thread(target=score, args=(i,)) for i in range(8)
             ]
-            for thread in threads:
+            threads[0].start()
+            assert busy.wait(timeout=5)
+            for thread in threads[1:]:
                 thread.start()
+            deadline = time.monotonic() + 5
+            while queue._queue.qsize() < 7 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert queue._queue.qsize() == 7
+            release.set()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=5)
+                assert not thread.is_alive()
             want = suite_tree.compiled_.predict(X[:8])
             for i in range(8):
                 assert results[i].shape == (1,)
@@ -257,6 +318,7 @@ class TestBatchQueue:
             # At least one evaluation carried more than one request.
             assert sum(batches) == 8 and len(batches) < 8
         finally:
+            release.set()
             queue.stop()
 
     def test_deadline_enforced(self, suite_dataset):
@@ -266,7 +328,7 @@ class TestBatchQueue:
             release.wait(timeout=5)
             return np.zeros(X.shape[0])
 
-        queue = BatchQueue(slow_evaluate, max_wait_s=0.0).start()
+        queue = BatchQueue(slow_evaluate).start()
         try:
             # First request occupies the evaluator; the second expires
             # while queued behind it.
@@ -424,6 +486,57 @@ class TestGracefulShutdown:
         srv.serve_in_background()
         assert srv.shutdown(drain_timeout=1.0) is True
         assert srv.shutdown(drain_timeout=1.0) is True
+
+    def test_shutdown_without_serve_loop_returns(self, tmp_path):
+        # socketserver's shutdown() waits for a serve loop to stop; one
+        # that never ran must not hang the caller.
+        srv = ModelServer(registry=ModelRegistry(tmp_path / "r"), port=0)
+        srv.start()
+        finished = threading.Event()
+        stopper = threading.Thread(
+            target=lambda: (srv.shutdown(drain_timeout=0.0), finished.set()),
+            daemon=True,
+        )
+        stopper.start()
+        assert finished.wait(timeout=2.0)
+
+
+class TestListenBacklog:
+    def test_connect_burst_fits_the_backlog(self, tmp_path):
+        # Started but not yet serving: nothing accepts, so every
+        # connect must complete into the kernel's accept queue.  A
+        # backlog of 5 admits 6 and leaves the rest on a 1 s SYN
+        # retransmit.
+        srv = ModelServer(registry=ModelRegistry(tmp_path / "r"), port=0)
+        srv.start()
+        clients = []
+        try:
+            with selectors.DefaultSelector() as selector:
+                for _ in range(32):
+                    client = socket.socket()
+                    clients.append(client)
+                    client.setblocking(False)
+                    code = client.connect_ex(("127.0.0.1", srv.bound_port))
+                    assert code in (0, errno.EINPROGRESS)
+                    selector.register(client, selectors.EVENT_WRITE)
+                connected = 0
+                deadline = time.monotonic() + 0.3
+                while connected < 32:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    for key, _ in selector.select(remaining):
+                        selector.unregister(key.fileobj)
+                        error = key.fileobj.getsockopt(
+                            socket.SOL_SOCKET, socket.SO_ERROR
+                        )
+                        assert error == 0
+                        connected += 1
+            assert connected == 32
+        finally:
+            for client in clients:
+                client.close()
+            srv.shutdown(drain_timeout=0.0)
 
 
 class TestWarmDigestCache:
