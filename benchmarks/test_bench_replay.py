@@ -3,10 +3,10 @@
 ``SimulatedCore.run_block`` replays the structures that share state in
 one program-order loop and everything else in passes of its own;
 ``reference_run_block`` is the per-instruction loop it replaced.  Both
-are timed on the same suite blocks, from identically prewarmed cores.
-The gate asserts the two replays agree bit for bit and that the
-production replay is at least 2x faster — a ratio, so it holds on any
-runner.
+are timed on the same suite blocks, from cores each side prewarms to the
+same state (``prewarm`` and ``reference_prewarm``).  The gate asserts
+the two replays agree bit for bit and that the production replay is at
+least 2x faster — a ratio, so it holds on any runner.
 """
 
 import time
@@ -14,7 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.conformance.oracle import reference_core, reference_run_block
+from repro.conformance.oracle import (
+    reference_core,
+    reference_prewarm,
+    reference_run_block,
+)
 from repro.simulator import MachineConfig, SimulatedCore
 from repro.workloads.phases import perturbed
 from repro.workloads.spec import spec_like_suite
@@ -24,9 +28,10 @@ from repro.workloads.suite import prewarm
 #: Leading sections of each profile that are replayed.
 SECTIONS = 8
 
+#: Per side: core factory, replay, prewarm.
 REPLAYS = {
-    "production": (SimulatedCore, SimulatedCore.run_block),
-    "oracle": (reference_core, reference_run_block),
+    "production": (SimulatedCore, SimulatedCore.run_block, prewarm),
+    "oracle": (reference_core, reference_run_block, reference_prewarm),
 }
 
 
@@ -50,17 +55,17 @@ def suite_blocks(config):
 
 def prewarmed_cores(replay, runs):
     """One core per profile, prewarmed for its first phase (untimed)."""
-    make_core, _ = REPLAYS[replay]
+    make_core, _, warm = REPLAYS[replay]
     cores = []
     for seed, blocks in enumerate(runs):
         core = make_core(MachineConfig(), rng=seed)
-        prewarm(core, blocks[0][0])
+        warm(core, blocks[0][0])
         cores.append(core)
     return cores
 
 
 def replay_all(replay, cores, runs):
-    _, run = REPLAYS[replay]
+    _, run, _ = REPLAYS[replay]
     return [
         [run(core, block) for _, block in blocks]
         for core, blocks in zip(cores, runs)

@@ -1,9 +1,12 @@
 """Deliberately naive reference implementations (the oracles).
 
-Three optimized paths are checked against straight-line transcriptions
+Four optimized paths are checked against straight-line transcriptions
 here: M5' fitting (:class:`ReferenceM5Prime`, most of this module), its
-node models (the ``reference_*`` node-model functions) and trace replay
-(:func:`reference_run_block`, at the end).
+node models (the ``reference_*`` node-model functions), trace replay
+(:func:`reference_run_block`) and the collection steps around it
+(:func:`reference_prewarm`, :func:`reference_perturbed` and the
+``np.convolve`` ROB window of :class:`ReferenceCycleAccounting`, at the
+end).
 
 Every optimized M5' execution path in this package — the chunked vectorized
 split scan (:mod:`repro.core.tree.splitting`), the per-call node state of
@@ -46,13 +49,14 @@ as ``E[y^2] - E[y]^2`` exactly as the vectorized scan computes it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._util import RandomState
+from repro._util import RandomState, check_random_state
 from repro.core.tree.builder import MODEL_ATTRIBUTE_POLICIES
 from repro.core.tree.linear import LinearModel, _bounded_fit
 from repro.core.tree.node import LeafNode, Node, SplitNode
@@ -62,7 +66,13 @@ from repro.datasets.unpack import unpack_training_data
 from repro.errors import ConfigError, DataError, NotFittedError
 from repro.simulator.config import MachineConfig
 from repro.simulator.core import BlockResult, SimulatedCore
-from repro.simulator.isa import KIND_BRANCH, KIND_LOAD, KIND_STORE, InstructionBlock
+from repro.simulator.isa import (
+    CODE_REGION_BASE,
+    KIND_BRANCH,
+    KIND_LOAD,
+    KIND_STORE,
+    InstructionBlock,
+)
 from repro.simulator.memdep import (
     BLOCK_OVERLAP,
     BLOCK_STA,
@@ -70,7 +80,9 @@ from repro.simulator.memdep import (
     GRANULE_SHIFT,
     NO_BLOCK,
 )
-from repro.simulator.pipeline import SectionEvents
+from repro.simulator.pipeline import CycleAccounting, SectionEvents
+from repro.workloads.phases import _JITTERED_FIELDS, PhaseParams
+from repro.workloads.suite import _PREWARM_FILL
 
 #: The production tie-break margin: a later attribute replaces the
 #: incumbent best split only when its SDR exceeds it by more than this.
@@ -740,13 +752,14 @@ class ReferenceStoreBuffer:
 def reference_core(
     config: Optional[MachineConfig] = None, rng: RandomState = None
 ) -> SimulatedCore:
-    """A :class:`SimulatedCore` carrying a :class:`ReferenceStoreBuffer`.
+    """A :class:`SimulatedCore` carrying the reference store buffer and accounting.
 
     Drive it with :func:`reference_run_block` only: the production
     replay needs the block-level store buffer.
     """
     core = SimulatedCore(config, rng=rng)
     core.store_buffer = ReferenceStoreBuffer(core.config.store_buffer_window)
+    core.accounting = ReferenceCycleAccounting(core.config)
     return core
 
 
@@ -920,3 +933,86 @@ def reference_run_block(core: SimulatedCore, block: InstructionBlock) -> BlockRe
         dependent_miss_fraction=block.dependent_miss_fraction,
     )
     return core._complete(block, events)
+
+
+# ----------------------------------------------------------------------
+# Collection oracles
+#
+# The suite runner prewarms each cache with one set-at-once bulk fill,
+# jitters a section with one batched draw, and prices the ROB window by
+# cumulative sums.  The straight-line forms they replaced are kept here:
+# one ``fill`` per address, one generator call per jittered field, and
+# ``np.convolve``.  The production steps must match them bit for bit,
+# generator state included.
+
+
+class ReferenceCycleAccounting(CycleAccounting):
+    """Cycle accounting with the ROB-window miss sum taken by ``np.convolve``."""
+
+    @staticmethod
+    def window_sums(values: np.ndarray, width: int) -> np.ndarray:
+        return np.convolve(values, np.ones(width), mode="same")
+
+
+def reference_prewarm(core: SimulatedCore, params: PhaseParams) -> None:
+    """:func:`repro.workloads.suite.prewarm` with one ``fill`` per line."""
+    config = core.config
+
+    def fill_lines(cache, base: int, span: int, budget: int) -> None:
+        line = cache.config.line_bytes
+        total = max(span // line, 1)
+        step = max(total // max(budget, 1), 1)
+        for index in range(0, total, step):
+            cache.fill(base + index * line)
+
+    def fill_pages(tlb, base: int, span: int, budget: int) -> None:
+        page = tlb.config.page_bytes
+        total = max(span // page, 1)
+        step = max(total // max(budget, 1), 1)
+        for index in range(0, total, step):
+            tlb.access(base + index * page)
+
+    l2_budget = int(config.l2.size_bytes // config.l2.line_bytes * _PREWARM_FILL)
+    l1d_budget = int(config.l1d.size_bytes // config.l1d.line_bytes * _PREWARM_FILL)
+    l1i_budget = int(config.l1i.size_bytes // config.l1i.line_bytes * _PREWARM_FILL)
+
+    fill_lines(core.l2, 0, params.data_footprint, int(l2_budget * 0.75))
+    fill_lines(
+        core.l2, CODE_REGION_BASE, params.code_footprint, int(l2_budget * 0.25)
+    )
+    fill_lines(core.l1i, CODE_REGION_BASE, params.code_hot_bytes, l1i_budget)
+    fill_lines(core.l2, 0, params.hot_set_bytes, l2_budget)
+    fill_lines(core.l1d, 0, params.hot_set_bytes, l1d_budget)
+
+    fill_pages(core.dtlb.level1, 0, params.data_footprint, config.dtlb.entries)
+    fill_pages(core.dtlb.level1, 0, params.hot_set_bytes, config.dtlb.entries)
+    fill_pages(core.dtlb.level0, 0, params.hot_set_bytes, config.dtlb0.entries)
+    fill_pages(
+        core.itlb, CODE_REGION_BASE, params.code_footprint, config.itlb.entries
+    )
+    fill_pages(
+        core.itlb, CODE_REGION_BASE, params.code_hot_bytes, config.itlb.entries
+    )
+    core.dtlb.level1.reset_stats()
+    core.dtlb.level0.reset_stats()
+    core.itlb.reset_stats()
+
+
+def reference_perturbed(
+    params: PhaseParams, rng: RandomState = None, scale: float = 0.08
+) -> PhaseParams:
+    """:func:`repro.workloads.phases.perturbed`, one normal draw per field."""
+    if scale < 0:
+        raise ConfigError("scale must be non-negative")
+    if scale == 0:
+        return params
+    generator = check_random_state(rng)
+    updates = {}
+    for name, multiplier in _JITTERED_FIELDS.items():
+        factor = float(np.exp(generator.normal(0.0, scale * multiplier)))
+        updates[name] = float(np.clip(getattr(params, name) * factor, 0.0, 1.0))
+    mix = updates["load_fraction"] + updates["store_fraction"] + updates["branch_fraction"]
+    if mix > 1.0:
+        for name in ("load_fraction", "store_fraction", "branch_fraction"):
+            updates[name] /= mix
+    return dataclasses.replace(params, **updates)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigError, DataError
 from repro.evaluation.crossval import CrossValidationResult
@@ -91,6 +90,10 @@ def paired_fold_test(
         test_fraction = 1.0 / (k - 1)
     corrected_variance = variance * (1.0 / k + test_fraction)
     t_statistic = mean / np.sqrt(corrected_variance)
+    # Imported here: scipy.stats costs ~1 s at import, and every process
+    # that imports the package would otherwise pay it.
+    from scipy import stats
+
     p_value = float(2.0 * stats.t.sf(abs(t_statistic), df=k - 1))
     return PairedComparison(
         metric=metric,
@@ -112,6 +115,8 @@ def naive_paired_ttest(
         raise DataError("results have different fold counts")
     values_a = np.array([getattr(fold, metric) for fold in a.folds])
     values_b = np.array([getattr(fold, metric) for fold in b.folds])
+    from scipy import stats
+
     statistic, p_value = stats.ttest_rel(values_a, values_b)
     if np.isnan(statistic):
         statistic, p_value = 0.0, 1.0

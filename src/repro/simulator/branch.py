@@ -13,7 +13,12 @@ from repro.errors import ConfigError
 
 
 class GsharePredictor:
-    """Gshare: table of 2-bit counters indexed by PC xor global history."""
+    """Gshare: table of 2-bit counters indexed by PC xor global history.
+
+    :meth:`repro.simulator.core.SimulatedCore.run_block` applies
+    :meth:`access` inline to a block's branches, on ``_table``,
+    ``_history`` and ``_mask``.
+    """
 
     __slots__ = ("history_bits", "_mask", "_table", "_history", "correct", "incorrect")
 

@@ -1,16 +1,28 @@
 """Set-associative cache model with true LRU replacement.
 
-State is a dict per set; Python dicts preserve insertion order, so the
-first key is always the least-recently-used line and a hit re-inserts its
-line at the MRU end.  This gives exact LRU at O(1) per access.  A hit on
-the line already at the MRU end changes nothing but :attr:`hits`, which
-is what lets :meth:`repro.simulator.core.SimulatedCore.run_block` count
-repeated fetches from one line in bulk instead of replaying them.
+State is a list of per-set dicts, ``_sets``, keyed by line number (the
+address shifted right by ``_line_shift``) with ``None`` values; a line
+lives in set ``line & _set_mask``, which holds at most ``_assoc`` keys.
+Python dicts preserve insertion order, and that order *is* the recency
+order: the first key is the least-recently-used line, and every touch
+re-inserts its line at the MRU end, evicting the first key when a miss
+finds the set full.  This gives exact LRU at O(1) per access.
+
+The dict order is a contract, not an implementation detail:
+:meth:`repro.simulator.core.SimulatedCore.run_block` reads ``_sets``,
+``_set_mask``, ``_line_shift`` and ``_assoc`` into loop locals and
+applies this same update inline instead of calling :meth:`access` and
+:meth:`fill` per instruction, as :meth:`fill_many` does for a run of
+fills.  A hit on the line already at the MRU end changes nothing
+but :attr:`hits`, which is what lets ``run_block`` count repeated fetches
+from one line in bulk instead of replaying them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
+
+import numpy as np
 
 from repro.simulator.config import CacheConfig
 
@@ -64,6 +76,22 @@ class SetAssociativeCache:
         if len(lines) >= self._assoc:
             del lines[next(iter(lines))]
         lines[line] = None
+
+    def fill_many(self, addrs: np.ndarray) -> None:
+        """:meth:`fill` every address of ``addrs``, in order.
+
+        The LRU update is applied inline over the whole run, so a caller
+        with thousands of fills (prewarm) pays no method call per line.
+        """
+        sets = self._sets
+        set_mask = self._set_mask
+        assoc = self._assoc
+        shifted = np.asarray(addrs, dtype=np.int64) >> self._line_shift
+        for line in shifted.tolist():
+            lines = sets[line & set_mask]
+            if lines.pop(line, 1) is not None and len(lines) >= assoc:
+                del lines[next(iter(lines))]
+            lines[line] = None
 
     def probe(self, addr: int) -> bool:
         """Check residency without updating LRU state or statistics."""

@@ -95,6 +95,12 @@ class SimulatedCore:
         stream of their own, so they replay separately.  A fetch from the
         line (page) of the previous fetch is an L1I (ITLB) hit that keeps
         LRU order, so only line- and page-changing fetches are visited.
+
+        The passes make no per-access method calls: each reads its
+        structures' set lists, masks, shifts and associativities into
+        locals, applies the dict-order LRU update of
+        :mod:`repro.simulator.cache` inline, and adds its hit and miss
+        counts to the structures once per block.
         """
         n = len(block)
         config = self.config
@@ -112,28 +118,51 @@ class SimulatedCore:
         blocked = self.store_buffer.classify(block)
 
         # ITLB: fetches that stay on the previous fetch's page hit.
-        new_page = _changes(pcs, config.itlb.page_bytes)
-        itlb_access = self.itlb.access
-        page_fetches = np.flatnonzero(new_page)
-        itlb_misses = [
-            i
-            for i, pc in zip(page_fetches.tolist(), pcs[page_fetches].tolist())
-            if not itlb_access(pc)
-        ]
-        self.itlb.hits += n - page_fetches.size
+        itlb = self.itlb
+        page_sets, page_mask, page_assoc = itlb._sets, itlb._set_mask, itlb._assoc
+        page_fetches = np.flatnonzero(_changes(pcs, config.itlb.page_bytes))
+        itlb_misses: List[int] = []
+        for i, page in zip(
+            page_fetches.tolist(), (pcs[page_fetches] >> itlb._page_shift).tolist()
+        ):
+            entries = page_sets[page & page_mask]
+            if entries.pop(page, 1) is not None:
+                if len(entries) >= page_assoc:
+                    del entries[next(iter(entries))]
+                itlb_misses.append(i)
+            entries[page] = None
+        itlb.hits += n - len(itlb_misses)
+        itlb.misses += len(itlb_misses)
 
-        # Branch predictor: branches only.
-        predict = self.predictor.access
+        # Branch predictor (gshare, 2-bit counters): branches only.
+        predictor = self.predictor
+        table = predictor._table
+        history = predictor._history
+        history_mask = predictor._mask
         branches = np.flatnonzero(is_branch)
-        mispredicts = [
-            i
-            for i, pc, taken in zip(
-                branches.tolist(),
-                pcs[branches].tolist(),
-                block.taken[branches].tolist(),
-            )
-            if not predict(pc, taken)
-        ]
+        mispredicts: List[int] = []
+        for i, pc, taken in zip(
+            branches.tolist(),
+            pcs[branches].tolist(),
+            block.taken[branches].tolist(),
+        ):
+            index = ((pc >> 2) ^ history) & history_mask
+            counter = table[index]
+            if taken:
+                if counter < 3:
+                    table[index] = counter + 1
+                if counter < 2:
+                    mispredicts.append(i)
+                history = ((history << 1) | 1) & history_mask
+            else:
+                if counter > 0:
+                    table[index] = counter - 1
+                if counter >= 2:
+                    mispredicts.append(i)
+                history = (history << 1) & history_mask
+        predictor._history = history
+        predictor.incorrect += len(mispredicts)
+        predictor.correct += branches.size - len(mispredicts)
 
         # L1I/L1D/L2 and DTLB in program order: memory ops, plus fetches
         # that leave the previous fetch's line (the rest hit).
@@ -143,7 +172,6 @@ class SimulatedCore:
             # One set: the next-line fill lands beside the demand line
             # and reorders it, so a same-line fetch is no longer a no-op.
             new_line[:] = True
-        self.l1i.hits += n - int(np.count_nonzero(new_line))
 
         steps = np.flatnonzero(new_line | is_memory)
         addrs = block.addr[steps]
@@ -156,20 +184,35 @@ class SimulatedCore:
         data_l2_misses: List[int] = []
         dtlb0_misses: List[int] = []
         dtlb_walks: List[int] = []
-        l1i_access = self.l1i.access
-        l1d_access = self.l1d.access
-        l2_access = self.l2.access
-        l1i_fill = self.l1i.fill
-        l1d_fill = self.l1d.fill
-        l2_fill = self.l2.fill
-        dtlb_access = self.dtlb.access
+        split_accesses = split_l1d_misses = split_l2_misses = 0
+        l1i, l1d, l2 = self.l1i, self.l1d, self.l2
+        i_sets, i_mask, i_shift, i_assoc = (
+            l1i._sets, l1i._set_mask, l1i._line_shift, l1i._assoc
+        )
+        # L1D and L2 share a line size (MachineConfig checks it), so a
+        # data address has one line number at both levels.
+        d_sets, d_mask, d_shift, d_assoc = (
+            l1d._sets, l1d._set_mask, l1d._line_shift, l1d._assoc
+        )
+        l2_sets, l2_mask, l2_shift, l2_assoc = (
+            l2._sets, l2._set_mask, l2._line_shift, l2._assoc
+        )
+        level0, level1 = self.dtlb.level0, self.dtlb.level1
+        p0_sets, p0_mask, p0_shift, p0_assoc = (
+            level0._sets, level0._set_mask, level0._page_shift, level0._assoc
+        )
+        p1_sets, p1_mask, p1_shift, p1_assoc = (
+            level1._sets, level1._set_mask, level1._page_shift, level1._assoc
+        )
         # Stream-detector state for the data prefetcher: when consecutive
         # demand misses hit adjacent lines (an ascending sweep), the
         # prefetcher runs ahead several lines, like Core 2's DPL.
         last_miss_line = -(1 << 60)
         stream_depth = 8
-        line_shift = line_bytes.bit_length() - 1
 
+        # Each structure below is updated as in SetAssociativeCache: pop
+        # the key (``None`` back means a hit), evict the first key when a
+        # miss finds the set full, and re-insert the key at the MRU end.
         for i, fetch, pc, memory, addr, second in zip(
             steps.tolist(),
             new_line[steps].tolist(),
@@ -178,40 +221,111 @@ class SimulatedCore:
             addrs.tolist(),
             seconds.tolist(),
         ):
-            if fetch and not l1i_access(pc):
-                fetch_misses.append(i)
-                if not l2_access(pc):
-                    fetch_l2_misses.append(i)
-                if prefetch:
-                    # Sequential front-end prefetch: the next line follows
-                    # the demand miss into both cache levels.
-                    l1i_fill(pc + fetch_line_bytes)
-                    l2_fill(pc + fetch_line_bytes)
+            if fetch:
+                line = pc >> i_shift
+                lines = i_sets[line & i_mask]
+                if lines.pop(line, 1) is not None:
+                    if len(lines) >= i_assoc:
+                        del lines[next(iter(lines))]
+                    lines[line] = None
+                    fetch_misses.append(i)
+                    line = pc >> l2_shift
+                    lines = l2_sets[line & l2_mask]
+                    if lines.pop(line, 1) is not None:
+                        if len(lines) >= l2_assoc:
+                            del lines[next(iter(lines))]
+                        fetch_l2_misses.append(i)
+                    lines[line] = None
+                    if prefetch:
+                        # Sequential front-end prefetch: the next line
+                        # follows the demand miss into both cache levels.
+                        line = (pc + fetch_line_bytes) >> i_shift
+                        lines = i_sets[line & i_mask]
+                        if lines.pop(line, 1) is not None and len(lines) >= i_assoc:
+                            del lines[next(iter(lines))]
+                        lines[line] = None
+                        line = (pc + fetch_line_bytes) >> l2_shift
+                        lines = l2_sets[line & l2_mask]
+                        if lines.pop(line, 1) is not None and len(lines) >= l2_assoc:
+                            del lines[next(iter(lines))]
+                        lines[line] = None
+                else:
+                    lines[line] = None
             if not memory:
                 continue
-            l0_miss, walk = dtlb_access(addr)
-            if l0_miss:
+            # DTLB: level 0, then the last level on a level-0 miss.
+            page = addr >> p0_shift
+            entries = p0_sets[page & p0_mask]
+            if entries.pop(page, 1) is not None:
+                if len(entries) >= p0_assoc:
+                    del entries[next(iter(entries))]
                 dtlb0_misses.append(i)
-                if walk:
+                entries[page] = None
+                page = addr >> p1_shift
+                entries = p1_sets[page & p1_mask]
+                if entries.pop(page, 1) is not None:
+                    if len(entries) >= p1_assoc:
+                        del entries[next(iter(entries))]
                     dtlb_walks.append(i)
-            if not l1d_access(addr):
+            entries[page] = None
+            line = addr >> d_shift
+            lines = d_sets[line & d_mask]
+            if lines.pop(line, 1) is not None:
+                if len(lines) >= d_assoc:
+                    del lines[next(iter(lines))]
+                lines[line] = None
                 data_misses.append(i)
-                if not l2_access(addr):
+                lines = l2_sets[line & l2_mask]
+                if lines.pop(line, 1) is not None:
+                    if len(lines) >= l2_assoc:
+                        del lines[next(iter(lines))]
                     data_l2_misses.append(i)
+                lines[line] = None
                 if prefetch:
                     # Streamer: adjacent lines follow a demand miss, and a
                     # detected ascending sweep is run ahead of (this is
                     # what hides strided workloads on Core 2).
-                    miss_line = addr >> line_shift
-                    depth = (
-                        stream_depth if 0 < miss_line - last_miss_line <= 2 else 1
-                    )
-                    last_miss_line = miss_line
-                    for ahead in range(1, depth + 1):
-                        l1d_fill(addr + ahead * line_bytes)
-                        l2_fill(addr + ahead * line_bytes)
-            if second != addr and not l1d_access(second):
-                l2_access(second)
+                    depth = stream_depth if 0 < line - last_miss_line <= 2 else 1
+                    last_miss_line = line
+                    for ahead in range(line + 1, line + depth + 1):
+                        lines = d_sets[ahead & d_mask]
+                        if lines.pop(ahead, 1) is not None and len(lines) >= d_assoc:
+                            del lines[next(iter(lines))]
+                        lines[ahead] = None
+                        lines = l2_sets[ahead & l2_mask]
+                        if lines.pop(ahead, 1) is not None and len(lines) >= l2_assoc:
+                            del lines[next(iter(lines))]
+                        lines[ahead] = None
+            else:
+                lines[line] = None
+            if second != addr:
+                split_accesses += 1
+                line = second >> d_shift
+                lines = d_sets[line & d_mask]
+                if lines.pop(line, 1) is not None:
+                    if len(lines) >= d_assoc:
+                        del lines[next(iter(lines))]
+                    lines[line] = None
+                    split_l1d_misses += 1
+                    lines = l2_sets[line & l2_mask]
+                    if lines.pop(line, 1) is not None:
+                        if len(lines) >= l2_assoc:
+                            del lines[next(iter(lines))]
+                        split_l2_misses += 1
+                    lines[line] = None
+                else:
+                    lines[line] = None
+
+        _count(l1i, n, len(fetch_misses))
+        n_memory = int(np.count_nonzero(is_memory))
+        _count(l1d, n_memory + split_accesses, len(data_misses) + split_l1d_misses)
+        _count(
+            l2,
+            len(fetch_misses) + len(data_misses) + split_l1d_misses,
+            len(fetch_l2_misses) + len(data_l2_misses) + split_l2_misses,
+        )
+        _count(level0, n_memory, len(dtlb0_misses))
+        _count(level1, len(dtlb0_misses), len(dtlb_walks))
 
         l1d_missed = _flags(n, data_misses)
         l2_missed = _flags(n, data_l2_misses)
@@ -316,6 +430,12 @@ def _changes(pcs: np.ndarray, granule_bytes: int) -> np.ndarray:
     changed[0] = True
     np.not_equal(granule[1:], granule[:-1], out=changed[1:])
     return changed
+
+
+def _count(structure, accesses: int, misses: int) -> None:
+    """Add one pass's accesses and misses to a cache's or TLB's statistics."""
+    structure.hits += accesses - misses
+    structure.misses += misses
 
 
 def _flags(n: int, indices: List[int]) -> np.ndarray:

@@ -206,8 +206,7 @@ class CycleAccounting:
             + events.store_l2m.astype(np.float64)
             + events.l2im.astype(np.float64)
         )
-        window = np.ones(min(self.config.rob_size, n))
-        local_misses = np.convolve(long_miss, window, mode="same")
+        local_misses = self.window_sums(long_miss, min(self.config.rob_size, n))
         raw_mlp = np.clip(local_misses, 1.0, float(self.config.mshr_count))
         serial = events.dependent_miss_fraction
         mlp = 1.0 + (raw_mlp - 1.0) * (1.0 - serial)
@@ -300,6 +299,23 @@ class CycleAccounting:
         breakdown.lcp = float(np.sum(events.lcp * shadow_scale) * lat.lcp_stall * fe_factor)
 
         return breakdown
+
+    @staticmethod
+    def window_sums(values: np.ndarray, width: int) -> np.ndarray:
+        """Sum of ``values`` over a ``width``-wide window around each position.
+
+        The same window as ``np.convolve(values, np.ones(width), "same")``
+        for ``width <= len(values)``: ``width // 2`` positions before and
+        ``(width - 1) // 2`` after, cut at the ends.  It is taken as a
+        difference of cumulative sums, which is exact because the values
+        are small integers (0 to 3 misses per instruction).
+        """
+        n = values.shape[0]
+        totals = np.concatenate(([0.0], np.cumsum(values)))
+        positions = np.arange(n)
+        start = np.maximum(positions - width // 2, 0)
+        stop = np.minimum(positions + (width + 1) // 2, n)
+        return totals[stop] - totals[start]
 
     def cycles(self, events: SectionEvents) -> float:
         """Total cycles for the section."""

@@ -15,7 +15,13 @@ from repro.simulator.config import TLBConfig
 
 
 class TranslationBuffer:
-    """A single TLB level (set-associative or fully associative), LRU."""
+    """A single TLB level (set-associative or fully associative), LRU.
+
+    Its state follows the dict-order LRU contract of
+    :mod:`repro.simulator.cache`, keyed by page number (``_page_shift``);
+    :meth:`repro.simulator.core.SimulatedCore.run_block` applies the
+    update inline.
+    """
 
     __slots__ = ("config", "_sets", "_set_mask", "_page_shift", "_assoc", "hits", "misses")
 

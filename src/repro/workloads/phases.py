@@ -159,22 +159,10 @@ def perturbed(
 
     Real sections of one phase are similar but not identical; each
     continuous fraction is scaled by a lognormal factor of spread
-    ``scale`` and clipped back into validity.
+    ``scale`` and clipped back into validity.  This is one draw of
+    :func:`perturbed_batch`.
     """
-    if scale < 0:
-        raise ConfigError("scale must be non-negative")
-    if scale == 0:
-        return params
-    generator = check_random_state(rng)
-    updates = {}
-    for name, multiplier in _JITTERED_FIELDS.items():
-        factor = float(np.exp(generator.normal(0.0, scale * multiplier)))
-        updates[name] = float(np.clip(getattr(params, name) * factor, 0.0, 1.0))
-    mix = updates["load_fraction"] + updates["store_fraction"] + updates["branch_fraction"]
-    if mix > 1.0:
-        for name in ("load_fraction", "store_fraction", "branch_fraction"):
-            updates[name] /= mix
-    return dataclasses.replace(params, **updates)
+    return perturbed_batch(params, rng, scale, 1)[0]
 
 
 #: Field order and per-field spreads for the vectorized jitter path.
@@ -194,13 +182,13 @@ def perturbed_batch(
 ) -> List[PhaseParams]:
     """``n_draws`` jittered copies of ``params`` in one vectorized pass.
 
-    Distributionally identical to ``n_draws`` calls of :func:`perturbed`
-    — same lognormal spreads, same clipping, same instruction-mix
-    renormalization — but every factor comes from a single generator
-    call, so a caller jittering hundreds of sections (the fast engine)
-    pays one numpy dispatch instead of seventeen per section.  The two
-    functions consume the generator differently, so their exact draws
-    are not interchangeable; each is deterministic under a fixed seed.
+    Each field's factor is ``exp(z * scale * spread)`` for a standard
+    normal ``z``; values are clipped into [0, 1] and the instruction mix
+    is renormalized when it exceeds 1.  The normals are drawn row by row
+    in field order, so one batch of ``n_draws`` equals ``n_draws`` calls
+    of :func:`perturbed` on the same generator, draw for draw, and a
+    caller jittering hundreds of sections (the fast engine) pays one
+    numpy dispatch instead of one per section.
     """
     if scale < 0:
         raise ConfigError("scale must be non-negative")

@@ -1,9 +1,9 @@
 """Instruction-stream synthesis: PhaseParams -> InstructionBlock.
 
-All generation is vectorized numpy.  Synthesis is still about 15 % of a
-trace suite run's time, because the replay it feeds visits only the
-instructions whose state is sequential.  The generator controls every
-Table I event channel:
+All generation is vectorized numpy.  Synthesis is still about 17 % of a
+quick-preset trace suite run's time, because the replay it feeds visits
+only the instructions whose state is sequential, with its LRU updates
+inline.  The generator controls every Table I event channel:
 
 * data addresses (hot set / cold footprint / streaming) drive the cache
   and DTLB models;

@@ -41,18 +41,18 @@ def prewarm(core: SimulatedCore, params) -> None:
     structure with the phase's working set (or an evenly spaced sample of
     it when the set exceeds capacity — future uniform accesses hit with
     the same probability either way), cold regions first so the hot set
-    ends up most-recently used.
+    ends up most-recently used.  Each cache takes its fills in one
+    :meth:`~repro.simulator.cache.SetAssociativeCache.fill_many` call.
     """
     config = core.config
 
     # Each structure is filled at its own granularity: the L1I line size
     # need not match the data side's, nor the ITLB page the DTLB's.
-    def fill_lines(cache, base: int, span: int, budget: int) -> None:
+    def lines(cache, base: int, span: int, budget: int) -> np.ndarray:
         line = cache.config.line_bytes
         total = max(span // line, 1)
         step = max(total // max(budget, 1), 1)
-        for index in range(0, total, step):
-            cache.fill(base + index * line)
+        return base + np.arange(0, total, step, dtype=np.int64) * line
 
     def fill_pages(tlb, base: int, span: int, budget: int) -> None:
         page = tlb.config.page_bytes
@@ -69,13 +69,24 @@ def prewarm(core: SimulatedCore, params) -> None:
 
     # Cold data into L2 (sampled to capacity), then hot code, then the hot
     # data set last so it sits at the MRU end of both levels.
-    fill_lines(core.l2, 0, params.data_footprint, int(l2_budget * 0.75))
-    fill_lines(
-        core.l2, CODE_REGION_BASE, params.code_footprint, int(l2_budget * 0.25)
+    core.l2.fill_many(
+        np.concatenate(
+            [
+                lines(core.l2, 0, params.data_footprint, int(l2_budget * 0.75)),
+                lines(
+                    core.l2,
+                    CODE_REGION_BASE,
+                    params.code_footprint,
+                    int(l2_budget * 0.25),
+                ),
+                lines(core.l2, 0, params.hot_set_bytes, l2_budget),
+            ]
+        )
     )
-    fill_lines(core.l1i, CODE_REGION_BASE, params.code_hot_bytes, l1i_budget)
-    fill_lines(core.l2, 0, params.hot_set_bytes, l2_budget)
-    fill_lines(core.l1d, 0, params.hot_set_bytes, l1d_budget)
+    core.l1i.fill_many(
+        lines(core.l1i, CODE_REGION_BASE, params.code_hot_bytes, l1i_budget)
+    )
+    core.l1d.fill_many(lines(core.l1d, 0, params.hot_set_bytes, l1d_budget))
 
     fill_pages(core.dtlb.level1, 0, params.data_footprint, config.dtlb.entries)
     fill_pages(core.dtlb.level1, 0, params.hot_set_bytes, config.dtlb.entries)

@@ -1,7 +1,13 @@
 """Tests for the paired significance machinery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.baselines import LinearRegressionBaseline, NaiveFixedPenaltyModel
 from repro.core.tree import M5Prime
 from repro.datasets.synthetic import figure1_dataset
@@ -100,3 +106,23 @@ class TestComparisonSignificance:
         )
         with pytest.raises(ConfigError):
             comparison.significance_against("xgboost")
+
+
+def test_importing_the_package_loads_no_scipy():
+    """scipy.stats is imported by the tests that use it, not at import.
+
+    A fresh interpreter imports the package, the CLI and the server, the
+    entry points every batch run and ``repro serve`` start from.
+    """
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys; import repro, repro.cli, repro.serve.server; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

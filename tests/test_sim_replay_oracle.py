@@ -6,6 +6,11 @@ separate passes and skips fetches that provably hit; the oracle in
 instruction in program order.  Everything the replay produces — event
 flags, counts, cycles, the cycle breakdown, component statistics and the
 store buffer carried into the next block — must match bit for bit.
+
+The collection steps around the replay have oracles too: prewarm with
+one ``fill`` per line, the per-field jitter draw and the ``np.convolve``
+ROB window.  The differential runs them on the oracle side, and the
+tests at the end hold each production step to its oracle directly.
 """
 
 from dataclasses import fields
@@ -16,8 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conformance.oracle import (
+    ReferenceCycleAccounting,
     ReferenceStoreBuffer,
     reference_core,
+    reference_perturbed,
+    reference_prewarm,
     reference_run_block,
 )
 from repro.counters import events as ev
@@ -29,14 +37,16 @@ from repro.simulator import (
     InstructionBlock,
     MachineConfig,
     SectionEvents,
+    SetAssociativeCache,
     SimulatedCore,
     StoreBuffer,
 )
 from repro.simulator.config import KIB
 from repro.simulator.isa import CODE_REGION_BASE
 from repro.simulator.memdep import GRANULE_SHIFT, NO_BLOCK
+from repro.simulator.pipeline import CycleAccounting
 from repro.workloads import PhaseParams
-from repro.workloads.phases import perturbed
+from repro.workloads.phases import perturbed, perturbed_batch
 from repro.workloads.spec import spec_like_suite
 from repro.workloads.stream import synthesize_block
 from repro.workloads.suite import prewarm
@@ -94,15 +104,23 @@ def test_replay_matches_oracle_on_every_profile(machine):
         core = SimulatedCore(config, rng=seed)
         oracle = reference_core(config, rng=seed)
         rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
         for index, length in enumerate(BLOCK_LENGTHS):
             params = profile.section_params(index, len(BLOCK_LENGTHS))
             if index in PREWARM_BEFORE:
                 prewarm(core, params)
-                prewarm(oracle, params)
+                reference_prewarm(oracle, params)
             block = synthesize_block(perturbed(params, rng, 0.08), length, rng)
+            oracle_block = synthesize_block(
+                reference_perturbed(params, oracle_rng, 0.08), length, oracle_rng
+            )
             result = core.run_block(block)
-            expected = reference_run_block(oracle, block)
+            expected = reference_run_block(oracle, oracle_block)
             context = f"{profile.name} block {index}"
+            for name in ("kind", "pc", "addr", "size", "taken", "lcp", "sta", "std"):
+                np.testing.assert_array_equal(
+                    getattr(block, name), getattr(oracle_block, name), err_msg=context
+                )
             assert_same_result(result, expected, context)
             assert core.statistics() == oracle.statistics(), context
             assert store_state(core.store_buffer) == store_state(
@@ -247,3 +265,115 @@ def test_prewarm_fills_every_l1i_line():
         for offset in range(0, params.code_hot_bytes, 32)
     ]
     assert all(resident)
+
+
+# --- collection steps against their oracles -----------------------------
+
+STRUCTURES = ("l1i", "l1d", "l2", "dtlb.level0", "dtlb.level1", "itlb")
+
+
+def lru_state(core):
+    """Every cache and TLB set, keys in LRU order, plus hit/miss counts."""
+    state = {}
+    for name in STRUCTURES:
+        structure = core
+        for part in name.split("."):
+            structure = getattr(structure, part)
+        sets = [list(lines) for lines in structure._sets]
+        state[name] = (sets, structure.hits, structure.misses)
+    return state
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_prewarm_matches_reference(machine):
+    """Bulk prewarm leaves every set and statistic as one fill per line.
+
+    Each phase after the first is prewarmed from warm state: the blocks
+    replayed under the previous phase leave hits, misses, prefetched
+    lines and dirty LRU order behind.
+    """
+    config = MACHINES[machine]
+    for seed, profile in enumerate(spec_like_suite()[::2]):
+        core = SimulatedCore(config, rng=seed)
+        oracle = SimulatedCore(config, rng=seed)
+        rng = np.random.default_rng(seed)
+        for phase, params in enumerate(profile.schedule.phases):
+            prewarm(core, params)
+            reference_prewarm(oracle, params)
+            assert lru_state(core) == lru_state(oracle), f"{profile.name} {phase}"
+            for length in (400, 90):
+                block = synthesize_block(params, length, rng)
+                core.run_block(block)
+                oracle.run_block(block)
+
+
+#: (associativity, sets) of the caches the bulk-fill property runs on.
+_GEOMETRIES = [(1, 1), (4, 1), (1, 4), (2, 2), (2, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_GEOMETRIES),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 40 * 64), max_size=3),
+            st.lists(st.integers(0, 40 * 64), max_size=30),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_fill_many_equals_scalar_fills(geometry, runs):
+    """``fill_many`` == ``fill`` per address, repeats and old lines included.
+
+    Demand accesses between the runs leave lines and counts that the
+    next run must keep, reorder or evict exactly as scalar fills would.
+    """
+    assoc, n_sets = geometry
+    config = CacheConfig(64 * assoc * n_sets, assoc)
+    bulk = SetAssociativeCache(config)
+    scalar = SetAssociativeCache(config)
+    for accesses, fills in runs:
+        for addr in accesses:
+            assert bulk.access(addr) == scalar.access(addr)
+        bulk.fill_many(np.array(fills, dtype=np.int64))
+        for addr in fills:
+            scalar.fill(addr)
+        assert [list(s) for s in bulk._sets] == [list(s) for s in scalar._sets]
+        assert (bulk.hits, bulk.misses) == (scalar.hits, scalar.misses)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.02, 0.08, 0.3, 1.5])
+def test_perturbed_matches_reference_draw_for_draw(scale):
+    """Same params and the same generator state after every draw."""
+    phases = [params for profile in spec_like_suite() for params in profile.schedule.phases]
+    # A full instruction mix, so jitter pushes it over 1 and renormalizes.
+    phases.append(PhaseParams(load_fraction=0.5, store_fraction=0.3, branch_fraction=0.2))
+    for seed, params in enumerate(phases):
+        rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        for draw in range(3):
+            expected = reference_perturbed(params, oracle_rng, scale)
+            assert perturbed(params, rng, scale) == expected, (seed, draw)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        # A batch is the same draws in a row.
+        expected = [reference_perturbed(params, oracle_rng, scale) for _ in range(4)]
+        assert perturbed_batch(params, rng, scale, 4) == expected, seed
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rob_size", [1, 2, 31, 32, 96])
+def test_window_sums_equal_convolve(rob_size):
+    """The cumulative-sum ROB window equals np.convolve below and above it."""
+    rng = np.random.default_rng(rob_size)
+    lengths = {1, 2, max(rob_size - 1, 1), rob_size, rob_size + 1, 3 * rob_size + 7, 2048}
+    for n in sorted(lengths):
+        for density in (0.02, 0.5):
+            counts = rng.integers(1, 4, n) * (rng.random(n) < density)
+            values = counts.astype(np.float64)
+            width = min(rob_size, n)
+            np.testing.assert_array_equal(
+                CycleAccounting.window_sums(values, width),
+                ReferenceCycleAccounting.window_sums(values, width),
+                err_msg=f"n={n} width={width}",
+            )
