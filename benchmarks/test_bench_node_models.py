@@ -3,13 +3,17 @@
 Every tree node gets a linear model from four primitives in
 :mod:`repro.core.tree.linear`: the collinearity filter, the fit, greedy
 term dropping and opposed-pair resolution.  Production runs each call on
-one node state that computes column ranges, target moments,
-correlations and subset solves once; the ``reference_*`` functions in
-:mod:`repro.conformance.oracle` recompute them for every refit.  Both
-fit the same recorded nodes: every node of the quick-suite fits at
-min_instances 6 and 25, captured untimed.  The gate asserts bit-identical
-selections and models and that production is at least 1.4x faster — a
-ratio, so it holds on any runner.
+one node state that computes column ranges, target moments and
+correlations once, and solves each greedy step's drop-one subsets and
+the correlations as stacked batches; the ``reference_*`` functions in
+:mod:`repro.conformance.oracle` recompute them for every refit, one
+subset and one pair at a time.  Both fit the same recorded nodes: every
+node of the quick-suite fits at min_instances 6 and 25, captured
+untimed.  The gate asserts bit-identical selections and models and that
+production is at least 3.0x faster — a ratio, so it holds on any
+runner.  Pinned to one CPU of a 2-vCPU Xeon, the unbatched node state
+measured x2.14-x3.02 over twelve runs (median x2.38) and the stacked
+one x3.47-x5.14 over six (median x3.87).
 """
 
 import struct
@@ -101,7 +105,7 @@ def test_node_models(benchmark, implementation, node_inputs):
 
 
 def test_node_model_speedup(node_inputs):
-    """Bit-identical to the references, and at least 1.4x faster."""
+    """Bit-identical to the references, and at least 3.0x faster."""
     timings = {implementation: [] for implementation in PRIMITIVES}
     outputs = {}
     for _ in range(3):
@@ -121,4 +125,4 @@ def test_node_model_speedup(node_inputs):
         f"\nnode models for {len(node_inputs)} nodes: production {fast_s:.3f}s, "
         f"reference {reference_s:.3f}s, x{speedup:.2f}"
     )
-    assert speedup >= 1.4, f"node-model speedup x{speedup:.2f} below the 1.4x bar"
+    assert speedup >= 3.0, f"node-model speedup x{speedup:.2f} below the 3.0x bar"

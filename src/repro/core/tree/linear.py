@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,18 +112,25 @@ class _Fit(NamedTuple):
 #: The correlation key of the target column.
 _TARGET = None
 
+#: Most doubles one stacked batch holds: column subsets for the ridge
+#: solves, row pairs for the correlations.  Longer batches run block by
+#: block, which bounds a node model's working memory; a block holds at
+#: least one item.
+STACK_BLOCK = 32 * 1024
+
 
 class _NodeState:
     """What the refits and correlations inside one public call share.
 
     Computed at most once per call, on first use: each column's ptp, the
-    target mean and centred target, each column's centred row and the
-    correlations (keyed by ordered pair).  Nothing whose float result
-    depends on array shape is shared: each subset recomputes its own
-    column means, scales and Gram matrix from its own columns, exactly
-    as a standalone fit does, because BLAS and numpy reductions may
-    accumulate in a different order for a different shape.  The state
-    is dropped when the call returns.
+    target mean and centred target, and the correlations (keyed by
+    ordered pair).  Ridge solves and correlations run as stacked batches
+    whose every item is bit for bit its standalone computation: a stack
+    keeps each column contiguous, as the F-ordered ``X[:, cols]`` of a
+    standalone fit does, so each reduction runs along a contiguous row,
+    and each product is shaped so that numpy makes the standalone
+    computation's BLAS call per item.  The state is dropped when the
+    call returns.
     """
 
     def __init__(
@@ -138,7 +145,6 @@ class _NodeState:
         self.n = self.y.shape[0]
         self.ridge = ridge
         self.nonnegative = frozenset(nonnegative)
-        self._rows: Dict[Optional[int], np.ndarray] = {}
         self._correlations: Dict[Tuple[Optional[int], Optional[int]], float] = {}
 
     @cached_property
@@ -167,41 +173,54 @@ class _NodeState:
         bit, so the memo keys on the ordered pair.
         """
         key = (i, j)
-        value = self._correlations.get(key)
-        if value is None:
-            value = self._correlations[key] = self._corrcoef(i, j)
-        return value
+        if key not in self._correlations:
+            self.correlate((key,))
+        return self._correlations[key]
 
     def _spread(self, key: Optional[int]) -> float:
         return self.y_ptp if key is _TARGET else self.ptp[key]
 
-    def _row(self, key: Optional[int]) -> np.ndarray:
-        """The column as a contiguous row minus its mean, as np.cov centres it."""
-        row = self._rows.get(key)
-        if row is None:
-            row = np.array(self.y if key is _TARGET else self.X[:, key])
-            row -= row.mean()
-            self._rows[key] = row
-        return row
+    def correlate(self, pairs: Iterable[Tuple[Optional[int], Optional[int]]]) -> None:
+        """Memoize the correlation of each ordered pair, in stacked blocks.
 
-    def _corrcoef(self, i: Optional[int], j: Optional[int]) -> float:
-        if self._spread(i) <= 1e-15 or self._spread(j) <= 1e-15:
-            return 0.0
-        # np.corrcoef's arithmetic: one (2, n) product with its own
-        # transpose, scaled by 1/(n-1), divided by each standard
-        # deviation in turn, clipped to [-1, 1] (NaN passes through).
-        pair = np.array((self._row(i), self._row(j)))
-        (c_ii, c_ij), (_, c_jj) = np.dot(pair, pair.T).tolist()
-        scale = 1 / (self.n - 1)
+        np.corrcoef's arithmetic: one ``(2, n)`` product of the two
+        centred rows with its own transpose, scaled by 1/(n-1), divided
+        by each standard deviation in turn, clipped to [-1, 1] (NaN
+        passes through).  Stacked as ``(P, 2, n)``, each item makes the
+        same syrk call as np.corrcoef; a single Gram of all the rows
+        would not match it.
+        """
+        memo = self._correlations
+        pending = []
+        for key in pairs:
+            if key not in memo:
+                if self._spread(key[0]) <= 1e-15 or self._spread(key[1]) <= 1e-15:
+                    memo[key] = 0.0
+                else:
+                    pending.append(key)
+        if not pending:
+            return
+        # Each column this batch reads, once, as a contiguous row minus
+        # its mean, as np.cov centres it.
+        position: Dict[Optional[int], int] = {}
+        for key in pending:
+            for k in key:
+                position.setdefault(k, len(position))
+        centred = np.array([self.y if k is _TARGET else self.X[:, k] for k in position])
+        centred -= centred.mean(axis=1, keepdims=True)
+        index = np.array([[position[i], position[j]] for i, j in pending])
         # Past the guard some centred value is at least ptp / 2 in
         # magnitude, so no variance is zero (non-finite data gives NaN,
         # as in numpy).
-        value = c_ij * scale / math.sqrt(c_ii * scale) / math.sqrt(c_jj * scale)
-        if value > 1.0:
-            return 1.0
-        if value < -1.0:
-            return -1.0
-        return value
+        scale = 1 / (self.n - 1)
+        per_block = max(1, STACK_BLOCK // (2 * self.n))
+        for start in range(0, len(pending), per_block):
+            keys = pending[start:start + per_block]
+            stack = centred[index[start:start + per_block]]
+            products = (stack @ stack.swapaxes(1, 2)).tolist()
+            for key, ((c_ii, c_ij), (_, c_jj)) in zip(keys, products):
+                value = c_ij * scale / math.sqrt(c_ii * scale) / math.sqrt(c_jj * scale)
+                memo[key] = 1.0 if value > 1.0 else -1.0 if value < -1.0 else value
 
     # ------------------------------------------------------------------
     def fit(self, candidate_indices: Sequence[int]) -> _Fit:
@@ -221,21 +240,14 @@ class _NodeState:
         if not usable:
             error = float(np.mean(np.abs(self.y_centred)))
             return _Fit((), self.y_mean, (), error)
-        columns = self.X[:, list(usable)]
         constrained = [
             position for position, idx in enumerate(usable) if idx in self.nonnegative
         ]
+        if not constrained and ridge > 0:
+            return self._ridge_fits([usable])[0]
+        columns = self.X[:, list(usable)]
         if constrained:
             coefficients, intercept = _bounded_fit(columns, y, constrained, ridge)
-            residual = y - (columns @ coefficients + intercept)
-        elif ridge > 0:
-            # Center, penalize standardized coefficients, back-transform.
-            column_means = columns.mean(axis=0)
-            centered = columns - column_means
-            scales = np.maximum(centered.std(axis=0), 1e-12)
-            gram = centered.T @ centered + ridge * n * np.diag(scales**2)
-            coefficients = np.linalg.solve(gram, centered.T @ self.y_centred)
-            intercept = self.y_mean - float(coefficients @ column_means)
             residual = y - (columns @ coefficients + intercept)
         else:
             design = np.column_stack([columns, np.ones(n)])
@@ -249,6 +261,64 @@ class _NodeState:
             tuple(coefficients.tolist()),
             float(np.mean(np.abs(residual))),
         )
+
+    def drop_one_fits(self, indices: Tuple[int, ...]) -> List[_Fit]:
+        """:meth:`fit` of ``indices`` less each term in turn, in term order.
+
+        When every subset takes the ridge path unchanged (no constant
+        column, no constrained term, not saturated), all of them are one
+        stacked solve; otherwise each is fitted on its own.
+        """
+        subsets = [indices[:drop] + indices[drop + 1:] for drop in range(len(indices))]
+        ptp = self.ptp
+        if (
+            1 < len(indices) <= self.n
+            and self.ridge > 0
+            and self.nonnegative.isdisjoint(indices)
+            and all(ptp[index] > 1e-12 for index in indices)
+        ):
+            return self._ridge_fits(subsets)
+        return [self.fit(subset) for subset in subsets]
+
+    def _ridge_fits(self, subsets: Sequence[Tuple[int, ...]]) -> List[_Fit]:
+        """Standardized-ridge fits of equal-length usable subsets, stacked.
+
+        Center, penalize standardized coefficients, back-transform.  Per
+        block of subsets, the columns are a ``(b, m, n)`` stack gathered
+        from ``X.T``, each column one contiguous row, so every mean and
+        standard deviation reduces a contiguous run, as it does in the
+        F-ordered ``X[:, cols]`` of a standalone fit.  Per item, the Gram
+        is a syrk, the right-hand side and the fitted values are gemv
+        calls, and the intercept's product is a dot, as in that fit.
+        """
+        n = self.n
+        width = len(subsets[0])
+        diagonal = np.arange(width)
+        penalty_scale = self.ridge * n
+        per_block = max(1, STACK_BLOCK // (width * n))
+        fits = []
+        for start in range(0, len(subsets), per_block):
+            block = subsets[start:start + per_block]
+            columns = self.X.T[np.array(block)]
+            means = columns.mean(axis=2)
+            centred = columns - means[..., None]
+            penalty = np.zeros((len(block), width, width))
+            penalty[:, diagonal, diagonal] = np.maximum(centred.std(axis=2), 1e-12) ** 2
+            gram = centred @ centred.swapaxes(1, 2) + penalty_scale * penalty
+            rhs = centred @ self.y_centred
+            coefficients = np.linalg.solve(gram, rhs[..., None])
+            offsets = coefficients.swapaxes(1, 2) @ means[..., None]
+            intercepts = self.y_mean - offsets[:, 0, 0]
+            fitted = (columns.swapaxes(1, 2) @ coefficients)[..., 0]
+            errors = np.abs(self.y - (fitted + intercepts[:, None])).mean(axis=1)
+            fits.extend(
+                _Fit(subset, intercept, tuple(row), error)
+                for subset, intercept, row, error in zip(
+                    block, intercepts.tolist(), coefficients[..., 0].tolist(),
+                    errors.tolist(),
+                )
+            )
+        return fits
 
     def model(self, fit: _Fit, attribute_names: Sequence[str]) -> LinearModel:
         return LinearModel(
@@ -280,8 +350,14 @@ def select_uncorrelated(
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"threshold must lie in (0, 1], got {threshold}")
     state = _NodeState(X, y)
+    state.correlate([(index, _TARGET) for index in candidate_indices])
     ranked = sorted(
         candidate_indices, key=lambda j: -abs(state.correlation(j, _TARGET))
+    )
+    state.correlate(
+        (index, other)
+        for position, index in enumerate(ranked)
+        for other in ranked[:position]
     )
     kept: List[int] = []
     for index in ranked:
@@ -388,18 +464,21 @@ def _find_opposed_pair(
     corr_threshold: float,
 ):
     """The index to drop from the worst opposed pair, or None."""
-    for position_a in range(len(indices)):
-        for position_b in range(position_a + 1, len(indices)):
-            if coefficients[position_a] * coefficients[position_b] >= 0:
-                continue
-            index_a = indices[position_a]
-            index_b = indices[position_b]
-            if abs(state.correlation(index_a, index_b)) <= corr_threshold:
-                continue
-            keep_a = abs(state.correlation(index_a, _TARGET)) >= abs(
-                state.correlation(index_b, _TARGET)
-            )
-            return index_b if keep_a else index_a
+    # "not >= 0" also counts a NaN product as opposed, as the reference does.
+    opposed = [
+        (indices[position_a], indices[position_b])
+        for position_a in range(len(indices))
+        for position_b in range(position_a + 1, len(indices))
+        if not coefficients[position_a] * coefficients[position_b] >= 0
+    ]
+    state.correlate(opposed)
+    for index_a, index_b in opposed:
+        if abs(state.correlation(index_a, index_b)) <= corr_threshold:
+            continue
+        keep_a = abs(state.correlation(index_a, _TARGET)) >= abs(
+            state.correlation(index_b, _TARGET)
+        )
+        return index_b if keep_a else index_a
     return None
 
 
@@ -425,8 +504,7 @@ def simplify_model(
     best: Optional[_Fit] = None
     while indices:
         step: Optional[_Fit] = None
-        for drop_position in range(len(indices)):
-            candidate = state.fit(indices[:drop_position] + indices[drop_position + 1:])
+        for candidate in state.drop_one_fits(indices):
             candidate_error = adjusted_error(
                 candidate.training_error, state.n, len(candidate.indices) + 1
             )

@@ -1,10 +1,11 @@
 """The node-model primitives against their straight-line references.
 
 :mod:`repro.core.tree.linear` fits each node on one per-call state that
-computes column ranges, target moments, correlations and subset solves
-once; the ``reference_*`` functions in :mod:`repro.conformance.oracle`
-recompute everything for every refit.  Every model field and every
-selected attribute list must match bit for bit.
+computes column ranges, target moments and correlations once and runs
+ridge solves and correlations as stacked batches; the ``reference_*``
+functions in :mod:`repro.conformance.oracle` recompute everything for
+every refit, one subset and one pair at a time.  Every model field and
+every selected attribute list must match bit for bit.
 """
 
 import struct
@@ -20,7 +21,7 @@ from repro.conformance.oracle import (
     reference_select_uncorrelated,
     reference_simplify_model,
 )
-from repro.core.tree import M5Prime
+from repro.core.tree import M5Prime, linear
 from repro.core.tree.builder import TreeBuilder
 from repro.core.tree.linear import (
     _NodeState,
@@ -236,3 +237,145 @@ class TestCorrelationReplica:
         for i, j in ((1, 0), (0, 1), (2, 0), (0, 2), (1, None), (2, None)):
             assert float_bits(state.correlation(i, j)) == float_bits(0.0)
         assert _NodeState(X, np.full(n, 7.0)).correlation(0, None) == 0.0
+
+
+def fit_bits(fit):
+    """A subset solve's fields, floats as their exact bit patterns."""
+    return (
+        tuple(fit.indices),
+        float_bits(fit.intercept),
+        tuple(float_bits(c) for c in fit.coefficients),
+        float_bits(fit.training_error),
+    )
+
+
+def reference_fit_bits(X, y, subset, ridge, nonnegative=()):
+    names = tuple(f"a{j}" for j in range(X.shape[1]))
+    model = reference_fit_linear_model(X, y, subset, names, ridge, nonnegative)
+    return (
+        model.indices,
+        float_bits(model.intercept),
+        tuple(float_bits(c) for c in model.coefficients),
+        float_bits(model.training_error),
+    )
+
+
+def counter_node(n, k, seed):
+    """Counter-like node data: skewed rates at mixed scales, one near-duplicate."""
+    rng = np.random.default_rng(seed)
+    X = rng.gamma(0.5, size=(n, k)) * rng.choice([1e-3, 1.0, 1e3], size=k)
+    if k > 2:
+        X[:, k - 1] = X[:, 0] * (1 + 1e-3 * rng.normal(size=n))
+    y = 0.5 + X @ rng.normal(size=k) + 0.1 * rng.normal(size=n)
+    return X, y
+
+
+@pytest.fixture
+def stacked_calls(monkeypatch):
+    """How many subsets each stacked ridge call of the test solved."""
+    calls = []
+    original = _NodeState._ridge_fits
+
+    def counting(state, subsets):
+        calls.append(len(subsets))
+        return original(state, subsets)
+
+    monkeypatch.setattr(_NodeState, "_ridge_fits", counting)
+    return calls
+
+
+class TestStackedPaths:
+    """Each stacked item equals its standalone computation, bit for bit.
+
+    ``node_data`` stays at n <= 40 and k <= 6, inside one block of the
+    default :data:`~repro.core.tree.linear.STACK_BLOCK`; these cases reach
+    the shapes it never does.
+    """
+
+    # (n, k): m = 1 (k = 2), pairwise-summation boundaries (8, 128 rows),
+    # steps in two blocks (90 x 20), three (500 x 12), four (300 x 20) and
+    # blocks of one (1500 x 20: a 19-column subset is over half a block).
+    SHAPES = [(3, 2), (8, 2), (129, 2), (9, 3), (13, 6), (200, 6),
+              (90, 20), (300, 20), (500, 12), (1500, 20)]
+
+    @pytest.mark.parametrize("n, k", SHAPES)
+    def test_drop_one_fits_match_standalone_fits(self, n, k, stacked_calls):
+        X, y = counter_node(n, k, seed=n * 100 + k)
+        state = _NodeState(X, y, 1e-4)
+        indices = tuple(range(k))
+        stacked = state.drop_one_fits(indices)
+        assert stacked_calls == [k]  # one stacked step of every subset
+        for drop, fit in enumerate(stacked):
+            subset = indices[:drop] + indices[drop + 1:]
+            assert fit_bits(fit) == fit_bits(state.fit(subset))
+            assert fit_bits(fit) == reference_fit_bits(X, y, subset, 1e-4)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_any_block_size_gives_the_same_bits(self, block, monkeypatch):
+        X, y = counter_node(40, 8, seed=block)
+        indices = tuple(range(8))
+        expected = [fit_bits(f) for f in _NodeState(X, y, 1e-4).drop_one_fits(indices)]
+        monkeypatch.setattr(linear, "STACK_BLOCK", block)
+        state = _NodeState(X, y, 1e-4)
+        assert [fit_bits(f) for f in state.drop_one_fits(indices)] == expected
+        state.correlate([(i, j) for i in indices for j in (None, *indices) if i != j])
+        for (i, j), value in state._correlations.items():
+            b = y if j is None else X[:, j]
+            assert float_bits(value) == float_bits(np.corrcoef(X[:, i], b)[0, 1])
+
+    @pytest.mark.parametrize("n", [2, 5, 13, 129, 1500])
+    def test_batch_of_one_matches_the_reference(self, n, stacked_calls):
+        X, y = counter_node(n, 6, seed=n)
+        state = _NodeState(X, y, 1e-4)
+        for size in range(1, min(6, n - 1) + 1):
+            subset = tuple(range(6 - size, 6))
+            assert fit_bits(state.fit(subset)) == reference_fit_bits(X, y, subset, 1e-4)
+        assert set(stacked_calls) == {1}
+
+    @pytest.mark.parametrize(
+        "fallback", ["ridge0", "nonnegative", "constant", "saturated"]
+    )
+    def test_fallbacks_fit_each_subset_on_its_own(self, fallback, stacked_calls):
+        n = 4 if fallback == "saturated" else 60
+        X, y = counter_node(n, 6, seed=7)
+        ridge, nonnegative = 1e-4, ()
+        if fallback == "ridge0":
+            ridge = 0.0
+        elif fallback == "nonnegative":
+            nonnegative = (2,)
+        elif fallback == "constant":
+            X[:, 3] = 1.5
+        state = _NodeState(X, y, ridge, nonnegative)
+        indices = tuple(range(6))  # saturated: k - 1 = 5 > n - 1 = 3
+        for drop, fit in enumerate(state.drop_one_fits(indices)):
+            subset = indices[:drop] + indices[drop + 1:]
+            assert fit_bits(fit) == reference_fit_bits(X, y, subset, ridge, nonnegative)
+        assert all(calls == 1 for calls in stacked_calls)
+
+    # One (q, q) Gram of all the centred rows agrees with np.corrcoef's
+    # per-pair products for a handful of columns, but not from about a
+    # dozen: k = 12 and 20 are what catch it.
+    @pytest.mark.parametrize(
+        "n, k", [(2, 3), (3, 4), (8, 12), (13, 20), (129, 12), (1500, 20)]
+    )
+    def test_batched_correlations_match_corrcoef(self, n, k):
+        X, y = counter_node(n, k, seed=k)
+        X[:, 1] = 3.0  # constant: the ptp guard answers 0.0
+        state = _NodeState(X, y)
+        keys = (None, *range(k))
+        pairs = [(i, j) for i in keys for j in keys if i != j]
+        state.correlate(pairs)  # both argument orders of every pair, one batch
+        columns = {None: y, **{j: X[:, j] for j in range(k)}}
+        for i, j in pairs:
+            a, b = columns[i], columns[j]
+            expected = (
+                0.0 if min(np.ptp(a), np.ptp(b)) <= 1e-15 else np.corrcoef(a, b)[0, 1]
+            )
+            assert float_bits(state._correlations[i, j]) == float_bits(expected)
+
+    @pytest.mark.parametrize("n, k", [(90, 20), (1500, 20)])
+    def test_large_nodes_match_reference(self, n, k):
+        X, y = counter_node(n, k, seed=3)
+        names = tuple(f"a{j}" for j in range(k))
+        for ridge in (0.0, 1e-4):
+            assert_pipeline_matches(X, y, list(range(k)), names, ridge, (), 0.95)
