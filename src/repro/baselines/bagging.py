@@ -13,9 +13,10 @@ ensemble pre-spawns one seed per member and can fit them in parallel
 from the ``i``-th spawned child seed, regardless of ``n_jobs`` or the
 executor backend: ``_fit`` ships each member's index through the task
 and asserts the returned sequence is ``0..n_estimators-1`` in order.
-Downstream arena compilation (:func:`repro.serve.forest.compile_forest`)
-concatenates members in this order, so compiled-forest node and
-leaf-column offsets are deterministic across serial and parallel fits.
+Arena compilation (:attr:`compiled_`, through
+:func:`repro.serve.compiled.compile_tree`) walks members in this order,
+so the arena's node and leaf-column offsets are deterministic across
+serial and parallel fits.
 
 Prediction routes through the cached compiled arena
 (:attr:`compiled_`), bit-identical to the historical member-by-member
@@ -33,11 +34,11 @@ import numpy as np
 from repro._util import RandomState
 from repro.baselines.base import RegressorBase
 from repro.core.tree import M5Prime
-from repro.errors import ConfigError, NotFittedError
+from repro.errors import ConfigError, DataError, NotFittedError
 from repro.parallel import parallel_map, spawn_seeds
 
 if TYPE_CHECKING:
-    from repro.serve.forest import CompiledForest
+    from repro.serve.compiled import CompiledArena
     from repro.serve.refine import RefinedWeights
 
 
@@ -110,7 +111,7 @@ class BaggedM5(RegressorBase):
         self.estimators_: List[M5Prime] = []
         self.feature_ranges_: Optional[Tuple[Tuple[float, float], ...]] = None
         self.refined_: Optional["RefinedWeights"] = None
-        self._compiled_cache: Optional[Tuple[tuple, "CompiledForest"]] = None
+        self._compiled_cache: Optional[Tuple[tuple, "CompiledArena"]] = None
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n = X.shape[0]
@@ -165,15 +166,42 @@ class BaggedM5(RegressorBase):
         return int(sum(member.n_leaves for member in self.estimators_))
 
     @property
-    def compiled_(self) -> "CompiledForest":
-        """The ensemble's compiled arena, cached per fitted state."""
-        from repro.serve.forest import compile_forest
+    def compiled_(self) -> "CompiledArena":
+        """The ensemble's compiled arena, cached per fitted state.
 
-        if not self.estimators_:
+        Raises:
+            NotFittedError: The ensemble or one of its members is unfitted.
+            DataError: A member disagrees with the ensemble's feature count.
+            ConfigError: Members disagree on their smoothing configuration
+                (the arena serves one ``smoothing_k`` for all trees).
+        """
+        members = self.estimators_
+        if not members:
             raise NotFittedError("cannot compile an unfitted ensemble")
-        key = tuple(id(member.root_) for member in self.estimators_)
+        key = tuple(id(member.root_) for member in members)
         if self._compiled_cache is None or self._compiled_cache[0] != key:
-            self._compiled_cache = (key, compile_forest(self))
+            n_features = len(self.attributes_)
+            signature = (members[0].smoothing, members[0].smoothing_k)
+            for index, member in enumerate(members):
+                if member.root_ is None:
+                    raise NotFittedError(f"forest member {index} is unfitted")
+                if (member.smoothing, member.smoothing_k) != signature:
+                    raise ConfigError(
+                        f"forest member {index} smoothing configuration "
+                        f"{(member.smoothing, member.smoothing_k)} disagrees "
+                        f"with member 0 {signature}; a forest serves one "
+                        "smoothing mode"
+                    )
+                if len(member.attributes_) != n_features:
+                    raise DataError(
+                        f"forest member {index} has "
+                        f"{len(member.attributes_)} features but the "
+                        f"ensemble carries {n_features}"
+                    )
+            from repro.serve.compiled import compile_tree
+
+            roots = [member.root_ for member in members]
+            self._compiled_cache = (key, compile_tree(roots, n_features))
         return self._compiled_cache[1]
 
     def _predict(self, X: np.ndarray) -> np.ndarray:

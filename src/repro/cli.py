@@ -568,6 +568,17 @@ def _load(path: str):
     return load_csv(path)
 
 
+def _load_tree(path: str):
+    """A saved single tree; a forest document is refused."""
+    from repro.core.tree import M5Prime, load_model
+    from repro.errors import ParseError
+
+    model = load_model(path)
+    if not isinstance(model, M5Prime):
+        raise ParseError(f"{path}: expected a repro-m5prime tree, got a forest")
+    return model
+
+
 def _set_default_jobs(n_jobs) -> None:
     """Make ``--jobs`` the process-wide default via ``REPRO_JOBS``.
 
@@ -645,7 +656,7 @@ def _train_forest(args: argparse.Namespace, dataset) -> int:
     compiled = forest.compiled_
     print(f"bagged forest: {compiled.n_trees} trees, "
           f"{compiled.n_nodes} arena nodes, "
-          f"{compiled.total_leaves} leaves "
+          f"{compiled.n_leaves} leaves "
           f"(mean {forest.mean_leaves_:.1f}/tree), "
           f"{dataset.n_instances} training sections")
     if args.refine:
@@ -655,13 +666,13 @@ def _train_forest(args: argparse.Namespace, dataset) -> int:
             forest, prune_pct=args.prune_pct, n_prunings=args.n_prunings
         ).fit(dataset)
         refined = refinement.refined_
-        print(f"refined: {refined.n_active}/{compiled.total_leaves} "
+        print(f"refined: {refined.n_active}/{compiled.n_leaves} "
               f"active leaves after {refined.n_prunings} pruning "
               f"round(s), training MAE {refined.train_mae:.5f}")
     if args.save:
-        from repro.serve.forest_io import save_forest
+        from repro.core.tree import save_model
 
-        save_forest(forest, args.save)
+        save_model(forest, args.save)
         print(f"saved forest to {args.save}")
     if args.publish:
         from repro.serve import ModelRegistry
@@ -674,11 +685,11 @@ def _train_forest(args: argparse.Namespace, dataset) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.analysis import PerformanceAnalyzer
-    from repro.core.tree import M5Prime, load_model
+    from repro.core.tree import M5Prime
 
     dataset = _load(args.data)
     if args.model:
-        model = load_model(args.model)
+        model = _load_tree(args.model)
     else:
         training = _load(args.train) if args.train else dataset
         model = M5Prime(min_instances=args.min_instances).fit(training)
@@ -797,9 +808,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
     model = None
     if args.model:
-        from repro.core.tree import load_model
-
-        model = load_model(args.model)
+        model = _load_tree(args.model)
     # load_table, not _load: lint must *report* NaN/Inf cells, not crash
     # on the validating Dataset constructor.
     dataset = load_table(args.data) if args.data else None
@@ -828,22 +837,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.lint import json_document
-    from repro.verify import verify_forest, verify_model
-
-    def _verify_any(model):
-        """Dispatch on artifact kind: forests get the FOREST00x pass."""
-        if hasattr(model, "estimators_"):
-            return verify_forest(model)
-        return verify_model(model)
+    from repro.verify import verify_model
 
     if not args.model and args.registry is None and args.corpus is None:
         raise ReproError("verify needs --model, --registry, and/or --corpus")
     targets = []
     failures = []
     if args.model:
-        from repro.serve.forest_io import load_any_model
+        from repro.core.tree import load_model
 
-        targets.append((args.model, _verify_any(load_any_model(args.model))))
+        targets.append((args.model, verify_model(load_model(args.model))))
     if args.registry is not None:
         from repro.serve import ModelRegistry
 
@@ -858,7 +861,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             except ReproError as exc:
                 failures.append((spec, str(exc)))
                 continue
-            result = _verify_any(model)
+            result = verify_model(model)
             try:
                 stored = registry.load_certificate(record)
             except ReproError as exc:

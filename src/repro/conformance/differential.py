@@ -8,7 +8,7 @@ model:
 
 * tree structure (every node field, every model coefficient) — CONF001
 * predictions: oracle walk vs production ``predict`` (which routes
-  through :class:`~repro.serve.compiled.CompiledTree`) — CONF002
+  through :class:`~repro.serve.compiled.CompiledArena`) — CONF002
 * leaf (class) assignment — CONF003
 * compiled vs *interpreted* inference on the production tree (the
   linked-node walk the compiler replaced) — CONF004

@@ -34,7 +34,7 @@ from repro.datasets.unpack import unpack_training_data
 from repro.errors import DataError, NotFittedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve -> core)
-    from repro.serve.compiled import CompiledTree
+    from repro.serve.compiled import CompiledArena
 
 
 class M5Prime:
@@ -101,8 +101,9 @@ class M5Prime:
         #: incoming data against the regime the tree was trained on.
         #: ``None`` for models deserialized from pre-range documents.
         self.feature_ranges_: Optional[Tuple[Tuple[float, float], ...]] = None
-        # (root, CompiledTree) pair; rebuilt whenever root_ is replaced.
-        self._compiled_cache: Optional[Tuple[Node, "CompiledTree"]] = None
+        # (root, one-tree CompiledArena) pair; rebuilt whenever root_ is
+        # replaced.
+        self._compiled_cache: Optional[Tuple[Node, "CompiledArena"]] = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -149,8 +150,8 @@ class M5Prime:
 
     # ------------------------------------------------------------------
     @property
-    def compiled_(self) -> "CompiledTree":
-        """The flat-array form of the fitted tree (compiled lazily).
+    def compiled_(self) -> "CompiledArena":
+        """The fitted tree as a one-tree arena (compiled lazily).
 
         Compilation is cached per ``root_`` object: refitting, loading,
         or assigning a new tree invalidates it automatically.  Callers
@@ -163,7 +164,7 @@ class M5Prime:
             return cached[1]
         from repro.serve.compiled import compile_tree
 
-        compiled = compile_tree(root, len(self.attributes_))
+        compiled = compile_tree([root], len(self.attributes_))
         self._compiled_cache = (root, compiled)
         return compiled
 

@@ -20,10 +20,12 @@ through three rule families:
 * **serve** (``SERVE0xx``): model-registry integrity — manifest
   well-formedness, missing/corrupt blobs, manifest-vs-blob agreement,
   registry entries whose feature set no longer matches the dataset.
-* **forest** (``FOREST0xx``): published-ensemble integrity — forest
-  blobs that parse as ``repro-forest`` documents, tree counts that
-  match the declared arena, refined leaf-weight vectors of the right
-  length with finite values, dead member trees, single-tree forests.
+* **forest** (``FOREST0xx``): published-ensemble integrity — each
+  forest blob loaded with the one model loader and checked by the
+  static verifier: blobs that load as ``repro-forest`` documents with
+  sound member trees, arena offsets, refined leaf-weight vectors of the
+  right length with finite values, dead member trees, single-tree
+  forests.
 * **verify** (``VERIFY0xx``): static verification of the compiled tree
   arena (:mod:`repro.verify`) — structural well-formedness plus
   interval abstract interpretation: dead branches, domain coverage,

@@ -1,20 +1,21 @@
 """The ``forest`` rule family: published-ensemble integrity (FOREST00x).
 
-A ``kind: forest`` registry entry promises a multi-tree arena whose
-offsets, leaf counts, and refined weights all agree.  These rules audit
-that promise statically from the blob JSON — no model loading, no
-quarantine side effects — and share their ids with the in-memory
-diagnostics :func:`repro.verify.verify_forest` emits, so the same
-defect reads the same whether it surfaced at publish time or in a
-registry audit:
+Thin lint adapters over the static model verifier, in the style of
+:mod:`repro.lint.verify_rules`: each ``kind: forest`` registry record's
+blob is loaded once with the one model loader
+(:func:`repro.core.tree.serialize.load_model`, no quarantine side
+effects) and verified once with :func:`repro.verify.verify_model`, and
+each rule surfaces its slice of the findings, so a registry audit and
+a publish-time verification agree finding for finding:
 
-* ``FOREST001`` (error): a forest blob is unreadable, not a
-  ``repro-forest`` document, or its kind disagrees with the manifest.
-* ``FOREST002`` (error): the blob's tree list disagrees with its
-  declared ``n_trees`` — the arena offsets the document implies are a
-  lie.
-* ``FOREST003`` (error): refined weight/active vectors whose length
-  does not match the total leaf count across members.
+* ``FOREST001`` (error): the manifest says ``forest`` but the blob is
+  another format, the loader rejects the blob (unreadable JSON, a tree
+  count or refined-weight length that contradicts the trees, any
+  malformed field), or the verifier reports an ERROR inside a member
+  tree — the message names ``tree[i]`` and the VERIFY id.
+* ``FOREST002`` (error): arena offsets inconsistent with the trees.
+* ``FOREST003`` (error): refined weight/active vectors that do not
+  cover every leaf, or every refined leaf pruned.
 * ``FOREST004`` (error): non-finite refined weights among active
   leaves.
 * ``FOREST005`` (warning): a member tree whose every leaf the
@@ -23,17 +24,16 @@ registry audit:
 * ``FOREST006`` (warning): a single-tree "forest" — bagging overhead
   without aggregation benefit.
 
+Member-tree warnings stay unreported here; ``repro verify`` shows them.
 Like the SERVE family, these run whenever ``--registry`` is given; a
 registry with no forest entries yields no findings.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import Severity
 from repro.lint.registry import FAMILY_FOREST, rule
@@ -41,15 +41,17 @@ from repro.lint.serve_rules import _records, _registry
 
 Finding = Tuple[str, str]
 
+#: One load-and-verify pass shared by all six rules of a lint pass:
+#: ``(context, [(rule id, message, spec), ...])``.  Holding the context
+#: itself keeps its identity from being reused by a later pass.
+_MEMO: Optional[Tuple[LintContext, List[Tuple[str, str, str]]]] = None
 
-def _forest_blobs(
-    context: LintContext,
-) -> Iterator[Tuple[str, Path, Optional[Dict[str, Any]]]]:
-    """Every ``kind: forest`` record's ``(spec, path, document)``.
 
-    ``document`` is ``None`` when the blob is missing or unparsable —
-    FOREST001 reports that; later rules skip such entries.
-    """
+def _audit(context: LintContext) -> Iterator[Tuple[str, str, str]]:
+    from repro.core.tree.m5 import M5Prime
+    from repro.core.tree.serialize import load_model
+    from repro.verify import verify_model
+
     registry = _registry(context)
     records, failure = _records(registry)
     if failure is not None:
@@ -57,153 +59,74 @@ def _forest_blobs(
     for record in records:
         if record.kind != "forest":
             continue
+        spec = record.spec
         path = registry.directory / record.blob
         if not path.exists():
             # SERVE002 already owns the missing-blob finding.
             continue
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            yield record.spec, path, None
+            model = load_model(path)
+        except ReproError as exc:
+            yield "FOREST001", (
+                f"{spec}: blob {path.name!r} does not load as a forest "
+                f"({exc}); republish the forest"
+            ), spec
             continue
-        if not isinstance(document, dict):
-            yield record.spec, path, None
+        if isinstance(model, M5Prime):
+            yield "FOREST001", (
+                f"{spec}: manifest kind is 'forest' but the blob's format "
+                "is 'repro-m5prime'; the manifest no longer describes the "
+                "stored artifact"
+            ), spec
             continue
-        yield record.spec, path, document
+        for diagnostic in verify_model(model).diagnostics:
+            if diagnostic.rule_id.startswith("FOREST"):
+                yield diagnostic.rule_id, f"{spec}: {diagnostic.message}", spec
+            elif diagnostic.severity is Severity.ERROR:
+                where = f"{diagnostic.location}: " if diagnostic.location else ""
+                yield "FOREST001", (
+                    f"{spec}: {where}{diagnostic.rule_id} "
+                    f"{diagnostic.message}; refit and republish the forest"
+                ), spec
 
 
-def _count_leaves(tree: Any) -> Optional[int]:
-    """Leaf count of one serialized tree document (iterative walk)."""
-    if not isinstance(tree, dict):
-        return None
-    leaves = 0
-    stack: List[Any] = [tree]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, dict):
-            return None
-        kind = node.get("kind")
-        if kind == "leaf":
-            leaves += 1
-        elif kind == "split":
-            stack.append(node.get("left"))
-            stack.append(node.get("right"))
-        else:
-            return None
-    return leaves
-
-
-def _total_leaves(document: Dict[str, Any]) -> Optional[int]:
-    trees = document.get("trees")
-    if not isinstance(trees, list):
-        return None
-    total = 0
-    for tree_document in trees:
-        if not isinstance(tree_document, dict):
-            return None
-        count = _count_leaves(tree_document.get("tree"))
-        if count is None:
-            return None
-        total += count
-    return total
-
-
-def _refined_vectors(
-    document: Dict[str, Any],
-) -> Optional[Tuple[List[float], List[int]]]:
-    """The blob's ``(weights, active)``, or ``None`` when absent/bad."""
-    refined = document.get("refined")
-    if not isinstance(refined, dict):
-        return None
-    weights = refined.get("weights")
-    active = refined.get("active")
-    if not isinstance(weights, list) or not isinstance(active, list):
-        return None
-    try:
-        return (
-            [float(w) for w in weights],
-            [int(bool(a)) for a in active],
-        )
-    except (TypeError, ValueError):
-        return None
+def _slice(context: LintContext, rule_id: str) -> Iterator[Finding]:
+    global _MEMO
+    if _MEMO is None or _MEMO[0] is not context:
+        _MEMO = (context, list(_audit(context)))
+    for finding_id, message, spec in _MEMO[1]:
+        if finding_id == rule_id:
+            yield message, spec
 
 
 @rule(
     "FOREST001",
     FAMILY_FOREST,
     Severity.ERROR,
-    "forest blobs must parse as repro-forest documents",
+    "forest blobs must load as repro-forest documents with sound trees",
 )
 def check_forest_blobs(context: LintContext) -> Iterator[Finding]:
-    for spec, path, document in _forest_blobs(context):
-        if document is None:
-            yield (
-                f"{spec}: blob {path.name!r} is not readable JSON; "
-                "republish the forest",
-                spec,
-            )
-        elif document.get("format") != "repro-forest":
-            yield (
-                f"{spec}: manifest kind is 'forest' but the blob's "
-                f"format is {document.get('format')!r}; the manifest no "
-                "longer describes the stored artifact",
-                spec,
-            )
+    yield from _slice(context, "FOREST001")
 
 
 @rule(
     "FOREST002",
     FAMILY_FOREST,
     Severity.ERROR,
-    "a forest blob's tree list must match its declared n_trees",
+    "the forest arena's offsets must match its trees",
 )
-def check_tree_count(context: LintContext) -> Iterator[Finding]:
-    for spec, _, document in _forest_blobs(context):
-        if document is None or document.get("format") != "repro-forest":
-            continue
-        declared = document.get("n_trees")
-        trees = document.get("trees")
-        found = len(trees) if isinstance(trees, list) else None
-        if not isinstance(declared, int) or declared != found:
-            yield (
-                f"{spec}: document declares {declared!r} trees but "
-                f"carries {found!r}; arena offsets built from it would "
-                "be wrong — republish the forest",
-                spec,
-            )
+def check_arena_offsets(context: LintContext) -> Iterator[Finding]:
+    yield from _slice(context, "FOREST002")
 
 
 @rule(
     "FOREST003",
     FAMILY_FOREST,
     Severity.ERROR,
-    "refined weight vectors must cover every forest leaf exactly once",
+    "refined weight vectors must cover every forest leaf, some active",
 )
 def check_refined_length(context: LintContext) -> Iterator[Finding]:
-    for spec, _, document in _forest_blobs(context):
-        if document is None or document.get("format") != "repro-forest":
-            continue
-        if document.get("refined") is None:
-            continue
-        vectors = _refined_vectors(document)
-        total = _total_leaves(document)
-        if vectors is None or total is None:
-            yield (
-                f"{spec}: refined block or tree list is malformed; the "
-                "leaf weights cannot be checked — republish the forest",
-                spec,
-            )
-            continue
-        weights, active = vectors
-        if len(weights) != total or len(active) != total:
-            yield (
-                f"{spec}: refined block carries {len(weights)} weights "
-                f"and {len(active)} active flags for {total} forest "
-                "leaves; the weights were fitted against a different "
-                "ensemble — republish the forest",
-                spec,
-            )
+    yield from _slice(context, "FOREST003")
 
 
 @rule(
@@ -213,26 +136,7 @@ def check_refined_length(context: LintContext) -> Iterator[Finding]:
     "active refined weights must be finite",
 )
 def check_refined_finite(context: LintContext) -> Iterator[Finding]:
-    for spec, _, document in _forest_blobs(context):
-        if document is None or document.get("format") != "repro-forest":
-            continue
-        vectors = _refined_vectors(document)
-        if vectors is None:
-            continue
-        weights, active = vectors
-        if len(weights) != len(active):
-            continue
-        bad = sum(
-            1 for weight, live in zip(weights, active)
-            if live and not math.isfinite(weight)
-        )
-        if bad:
-            yield (
-                f"{spec}: {bad} active refined weight(s) are NaN or "
-                "infinite; refined predictions would be non-finite — "
-                "refit the refinement pass and republish",
-                spec,
-            )
+    yield from _slice(context, "FOREST004")
 
 
 @rule(
@@ -242,30 +146,7 @@ def check_refined_finite(context: LintContext) -> Iterator[Finding]:
     "every member tree should keep at least one active leaf",
 )
 def check_dead_trees(context: LintContext) -> Iterator[Finding]:
-    for spec, _, document in _forest_blobs(context):
-        if document is None or document.get("format") != "repro-forest":
-            continue
-        vectors = _refined_vectors(document)
-        trees = document.get("trees")
-        if vectors is None or not isinstance(trees, list):
-            continue
-        _, active = vectors
-        offset = 0
-        for index, tree_document in enumerate(trees):
-            if not isinstance(tree_document, dict):
-                break
-            count = _count_leaves(tree_document.get("tree"))
-            if count is None or offset + count > len(active):
-                break
-            if count and not any(active[offset:offset + count]):
-                yield (
-                    f"{spec}: tree[{index}] has no active leaves after "
-                    "refinement (dead tree); it costs routing work and "
-                    "contributes nothing — consider refitting with "
-                    "fewer prunings",
-                    spec,
-                )
-            offset += count
+    yield from _slice(context, "FOREST005")
 
 
 @rule(
@@ -275,14 +156,4 @@ def check_dead_trees(context: LintContext) -> Iterator[Finding]:
     "a forest should aggregate more than one tree",
 )
 def check_single_tree(context: LintContext) -> Iterator[Finding]:
-    for spec, _, document in _forest_blobs(context):
-        if document is None or document.get("format") != "repro-forest":
-            continue
-        trees = document.get("trees")
-        if isinstance(trees, list) and len(trees) == 1:
-            yield (
-                f"{spec}: forest carries a single tree; bagging adds "
-                "serving cost without aggregation benefit — publish the "
-                "tree directly or raise n_estimators",
-                spec,
-            )
+    yield from _slice(context, "FOREST006")

@@ -250,16 +250,16 @@ class ArtifactCache:
         path = self.path_for("model", key_parts)
         if not path.exists() or not self._readable(path):
             return None
-        from repro.serve.forest_io import load_any_model
+        from repro.core.tree.serialize import load_model
 
         try:
-            return load_any_model(path)
+            return load_model(path)
         except ReproError:
             self.quarantine(path)
             return None
 
     def store_model(self, key_parts: Sequence[KeyPart], model) -> Path:
-        from repro.serve.forest_io import store_any_model
+        from repro.core.tree.serialize import model_to_dict
 
         path = self.path_for("model", key_parts)
         try:
@@ -275,7 +275,7 @@ class ArtifactCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(store_any_model(model), handle, indent=1)
+            json.dump(model_to_dict(model), handle, indent=1)
         os.replace(tmp, path)
         self._write_checksum(path)
         return path

@@ -3,20 +3,15 @@
 The training stack (``repro.core``) grows trees; this package answers
 with them at interactive latency:
 
-* :mod:`repro.serve.compiled` — the fitted tree flattened into
-  contiguous arrays, evaluated vectorized and bit-identical to the
-  interpreted walk (``M5Prime.predict`` routes through it).
-* :mod:`repro.serve.forest` — an entire :class:`BaggedM5` ensemble
-  flattened into one arena with per-tree offsets: all trees
-  batch-predicted in a single pass (bit-identical to member-by-member),
-  plus the CSR leaf-indicator matrix (``BaggedM5.predict`` routes
-  through it).
+* :mod:`repro.serve.compiled` — one arena type for a fitted tree
+  (``n_trees == 1``) or a whole :class:`BaggedM5` ensemble: contiguous
+  arrays with per-tree offsets, every tree batch-predicted in a single
+  pass, bit-identical to the interpreted walk, plus the CSR
+  leaf-indicator matrix (``M5Prime.predict`` and ``BaggedM5.predict``
+  route through it).
 * :mod:`repro.serve.refine` — RefinedRandomForest-style global leaf
   re-weighting with iterative prune-and-refit over the indicator
   matrix; the refined predictor stays per-leaf inspectable.
-* :mod:`repro.serve.forest_io` — the ``repro-forest`` JSON schema and
-  the format-dispatching ``load_any_model`` used by the cache and
-  registry.
 * :mod:`repro.serve.registry` — named, versioned, integrity-checked
   model storage (``cpi-tree@latest``) on the artifact cache; publishing
   is gated by the static verifier (:mod:`repro.verify`) and stores the
@@ -41,19 +36,9 @@ with them at interactive latency:
 
 from repro.serve.batching import BatchQueue
 from repro.serve.check import CheckResult, preflight, render_preflight
-from repro.serve.compiled import CompiledTree, compile_tree
+from repro.serve.compiled import CompiledArena, LeafIndicator, compile_tree
 from repro.serve.drift import DriftMonitor
 from repro.serve.fleet import FleetConfig, ServingFleet
-from repro.serve.forest import CompiledForest, LeafIndicator, compile_forest
-from repro.serve.forest_io import (
-    forest_from_dict,
-    forest_to_dict,
-    load_any_model,
-    load_forest,
-    loads_any_model,
-    loads_forest,
-    save_forest,
-)
 from repro.serve.loadtest import LoadTestResult, run_loadtest
 from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.refine import RefinedForest, RefinedWeights, refined_predict
@@ -64,8 +49,7 @@ from repro.serve.supervisor import Supervisor, WorkerSlot
 __all__ = [
     "BatchQueue",
     "CheckResult",
-    "CompiledForest",
-    "CompiledTree",
+    "CompiledArena",
     "Counter",
     "DriftMonitor",
     "FleetConfig",
@@ -83,18 +67,10 @@ __all__ = [
     "ServingFleet",
     "Supervisor",
     "WorkerSlot",
-    "compile_forest",
     "compile_tree",
-    "forest_from_dict",
-    "forest_to_dict",
-    "load_any_model",
-    "load_forest",
-    "loads_any_model",
-    "loads_forest",
     "parse_spec",
     "preflight",
     "refined_predict",
     "render_preflight",
     "run_loadtest",
-    "save_forest",
 ]

@@ -2,11 +2,11 @@
 
 Before a server takes traffic it should prove, offline, that it *can*:
 the registry manifest parses, the requested model resolves with its
-integrity sidecar intact, the tree compiles, the static verifier
-(:mod:`repro.verify`) finds no errors and the stored certificate matches
-the recomputed one, and the compiled evaluator reproduces the
-interpreted per-row walk bit for bit on a probe batch drawn from the
-model's own training ranges.  Each probe is a :class:`CheckResult`; any
+integrity sidecar intact, the tree or forest compiles, the static
+verifier (:mod:`repro.verify`) finds no errors and the stored
+certificate matches the recomputed one, and the compiled evaluator
+reproduces the interpreted per-row walk bit for bit on a probe batch
+drawn from the model's own training ranges.  Each probe is a :class:`CheckResult`; any
 failure makes the preflight (and the CLI) exit non-zero, so a deploy
 script can gate on it.
 """
@@ -18,13 +18,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.tree.m5 import M5Prime
 from repro.core.tree.node import route
 from repro.core.tree.smoothing import smoothed_predict
 from repro.errors import ReproError
 from repro.serve.drift import DriftMonitor
 from repro.serve.registry import ModelRecord, ModelRegistry
-from repro.verify import verify_forest, verify_model
+from repro.verify import verify_model
 
 __all__ = ["CheckResult", "preflight", "render_preflight"]
 
@@ -62,117 +61,66 @@ def _probe_matrix(model, rows: int = PROBE_ROWS) -> np.ndarray:
     return grid
 
 
-def _check_parity(model: M5Prime, label: str) -> CheckResult:
-    """Compiled evaluator vs interpreted walk, bit-for-bit."""
+def _check_parity(model, label: str) -> CheckResult:
+    """Compiled arena vs interpreted walks, bit-for-bit.
+
+    Checks every row of ``predict_trees`` — and the leaf each
+    ``(row, tree)`` pair routes to — against that member's own
+    interpreted per-row walk (a single tree is its own only member),
+    then the mean against stacking the interpreted member predictions:
+    the contract CONF008 asserts over the conformance corpus.
+    """
     X = _probe_matrix(model)
     compiled = model.compiled_
     k = model.smoothing_k if model.smoothing else None
-    got = compiled.predict(X, smoothing_k=k)
-    for i, x in enumerate(X):
-        root = model.root_
-        assert root is not None
-        if k is None:
-            leaf = route(root, x)
-            if leaf.model is None:
-                return CheckResult(
-                    "compiled-parity", False,
-                    f"{label}: leaf LM{leaf.leaf_id} has no model"
-                )
-            want = leaf.model.predict_one(x)
-        else:
-            want = smoothed_predict(root, x, k=k)
-        if got[i] != want:
-            return CheckResult(
-                "compiled-parity", False,
-                f"{label}: row {i} compiled={got[i]!r} interpreted={want!r}"
-            )
-    leaf_ids = compiled.leaf_ids(X)
-    for i, x in enumerate(X):
-        assert model.root_ is not None
-        if int(leaf_ids[i]) != route(model.root_, x).leaf_id:
-            return CheckResult(
-                "compiled-parity", False,
-                f"{label}: row {i} routed to leaf {int(leaf_ids[i])}, "
-                f"interpreted walk disagrees"
-            )
-    return CheckResult(
-        "compiled-parity", True,
-        f"{label}: {X.shape[0]} probe rows bit-identical"
-        + ("" if k is None else f" (smoothing k={k:g})")
-    )
-
-
-def _check_forest_parity(forest, label: str) -> CheckResult:
-    """Forest arena vs per-member interpreted walks, bit-for-bit.
-
-    Checks every member row of ``predict_trees`` against that member's
-    own interpreted per-row walk, then the ensemble mean against
-    stacking the interpreted member predictions — the exact contract
-    CONF008 asserts over the conformance corpus.
-    """
-    X = _probe_matrix(forest)
-    compiled = forest.compiled_
-    k = forest.smoothing_k if forest.smoothing else None
     per_tree = compiled.predict_trees(X, smoothing_k=k)
+    leaf_ids = compiled.leaf_id[compiled.route(X)]
     interpreted = np.empty_like(per_tree)
-    for t, member in enumerate(forest.estimators_):
+    for t, member in enumerate(getattr(model, "estimators_", [model])):
         root = member.root_
         assert root is not None
         for i, x in enumerate(X):
-            if k is None:
-                leaf = route(root, x)
-                if leaf.model is None:
-                    return CheckResult(
-                        "forest-parity", False,
-                        f"{label}: tree[{t}] leaf LM{leaf.leaf_id} has "
-                        f"no model"
-                    )
-                interpreted[t, i] = leaf.model.predict_one(x)
-            else:
+            leaf = route(root, x)
+            if leaf.leaf_id != leaf_ids[i, t]:
+                return CheckResult(
+                    "compiled-parity", False,
+                    f"{label}: tree[{t}] row {i} routed to leaf "
+                    f"{int(leaf_ids[i, t])}, interpreted walk disagrees"
+                )
+            if k is not None:
                 interpreted[t, i] = smoothed_predict(root, x, k=k)
+            elif leaf.model is None:
+                return CheckResult(
+                    "compiled-parity", False,
+                    f"{label}: tree[{t}] leaf LM{leaf.leaf_id} has no model"
+                )
+            else:
+                interpreted[t, i] = leaf.model.predict_one(x)
         if not np.array_equal(per_tree[t], interpreted[t]):
             row = int(np.flatnonzero(per_tree[t] != interpreted[t])[0])
             return CheckResult(
-                "forest-parity", False,
+                "compiled-parity", False,
                 f"{label}: tree[{t}] row {row} compiled="
                 f"{per_tree[t, row]!r} interpreted={interpreted[t, row]!r}"
             )
-    mean = compiled.predict(X, smoothing_k=k)
-    want = interpreted.mean(axis=0)
-    if not np.array_equal(mean, want):
+    if not np.array_equal(
+        compiled.predict(X, smoothing_k=k), interpreted.mean(axis=0)
+    ):
         return CheckResult(
-            "forest-parity", False,
-            f"{label}: ensemble mean diverges from stacked interpreted "
-            f"member predictions"
+            "compiled-parity", False,
+            f"{label}: the mean over trees diverges from stacked "
+            f"interpreted member predictions"
         )
     return CheckResult(
-        "forest-parity", True,
-        f"{label}: {compiled.n_trees} trees x {X.shape[0]} probe rows "
+        "compiled-parity", True,
+        f"{label}: {compiled.n_trees} tree(s) x {X.shape[0]} probe rows "
         f"bit-identical"
         + ("" if k is None else f" (smoothing k={k:g})")
     )
 
 
-def _check_forest_verify(forest, record: "ModelRecord") -> CheckResult:
-    """Structural + per-member verification; forests are uncertified."""
-    result = verify_forest(forest)
-    if not result.ok:
-        findings = "; ".join(d.render() for d in result.diagnostics[:3])
-        return CheckResult(
-            "verify", False,
-            f"{record.spec}: {result.n_errors} verification error(s): "
-            f"{findings}"
-        )
-    warnings = result.report.n_warnings
-    return CheckResult(
-        "verify", True,
-        f"{record.spec}: verified with {warnings} warning(s); "
-        "forests are uncertified (no output bound)"
-    )
-
-
 def _check_verify(
-    registry: ModelRegistry, model: M5Prime, record: "ModelRecord"
+    registry: ModelRegistry, model, record: "ModelRecord"
 ) -> CheckResult:
     """Static verification of the resolved artifact, plus certificate
     agreement: a stored certificate must match what the verifier
@@ -207,9 +155,13 @@ def _check_verify(
         )
     else:
         warnings = result.report.n_warnings
+        reason = (
+            "forests are uncertified" if record.kind == "forest"
+            else "model records no feature_ranges_"
+        )
         detail = (
             f"{record.spec}: verified with {warnings} warning(s); "
-            "no certificate (model records no feature_ranges_)"
+            f"no certificate ({reason})"
         )
     return CheckResult("verify", True, detail)
 
@@ -256,7 +208,6 @@ def preflight(
             f"{spec} -> {record.spec} ({record.n_leaves} leaves, "
             f"{len(record.attributes)} features, integrity verified)"
         ))
-        is_forest = not isinstance(model, M5Prime)
         try:
             compiled = model.compiled_
         except ReproError as exc:
@@ -264,18 +215,13 @@ def preflight(
                 "compile", False, f"{record.spec}: {exc}"
             ))
             continue
-        trees = f"{compiled.n_trees} trees, " if is_forest else ""
         results.append(CheckResult(
             "compile", True,
-            f"{record.spec}: {trees}{compiled.feature.shape[0]} nodes, "
-            f"max depth {compiled.max_depth}"
+            f"{record.spec}: {compiled.n_trees} tree(s), "
+            f"{compiled.n_nodes} nodes, max depth {compiled.max_depth}"
         ))
-        if is_forest:
-            results.append(_check_forest_verify(model, record))
-            results.append(_check_forest_parity(model, record.spec))
-        else:
-            results.append(_check_verify(registry, model, record))
-            results.append(_check_parity(model, record.spec))
+        results.append(_check_verify(registry, model, record))
+        results.append(_check_parity(model, record.spec))
         monitor = DriftMonitor(model)
         if monitor.monitors_ranges:
             results.append(CheckResult(

@@ -4,7 +4,7 @@ One :class:`~repro.serve.server.ModelServer` is a replica; this module
 makes it a *service*.  A :class:`ServingFleet` forks ``workers``
 processes, each running a full ``ModelServer`` with its model resolved
 and compiled **before** it reports ready (a warm
-:class:`~repro.serve.compile.CompiledTree` cache keyed on registry blob
+:class:`~repro.serve.compiled.CompiledArena` cache keyed on registry blob
 digests, so alias flips to an already-loaded digest never recompile).
 A :class:`~repro.serve.supervisor.Supervisor` probes every worker's
 ``/healthz``, restarts crashed or wedged ones under

@@ -34,7 +34,7 @@ from repro.errors import ConfigError, DataError, NotFittedError
 if TYPE_CHECKING:
     from repro.baselines.bagging import BaggedM5
     from repro.core.dataset import Dataset
-    from repro.serve.forest import CompiledForest
+    from repro.serve.compiled import CompiledArena
 
 __all__ = ["RefinedWeights", "RefinedForest", "refined_predict"]
 
@@ -44,7 +44,7 @@ class RefinedWeights:
     """The published outcome of a refinement pass.
 
     Attributes:
-        weights: Per-leaf-column weight, length ``total_leaves``.
+        weights: Per-leaf-column weight, length ``n_leaves``.
             Pruned columns keep their last fitted value but are masked
             by ``active``.
         active: Per-leaf-column liveness mask; pruned leaves contribute
@@ -69,7 +69,7 @@ class RefinedWeights:
 
 
 def refined_predict(
-    compiled: "CompiledForest",
+    compiled: "CompiledArena",
     refined: RefinedWeights,
     X: np.ndarray,
     smoothing_k: Optional[float] = None,
@@ -88,14 +88,14 @@ def refined_predict(
 
 
 def _column_design(
-    compiled: "CompiledForest", X: np.ndarray, smoothing_k: Optional[float]
+    compiled: "CompiledArena", X: np.ndarray, smoothing_k: Optional[float]
 ) -> np.ndarray:
     """Dense design matrix: ``Z[i, col]`` = leaf ``col``'s prediction for
     row ``i`` when the row lands there, else zero."""
     per_tree = compiled.predict_trees(X, smoothing_k=smoothing_k)
     columns = compiled.leaf_columns(X)
     n = X.shape[0]
-    design = np.zeros((n, compiled.total_leaves))
+    design = np.zeros((n, compiled.n_leaves))
     design[np.arange(n)[:, None], columns] = per_tree.T
     return design
 
@@ -185,7 +185,7 @@ class RefinedForest:
             self.forest.smoothing_k if self.forest.smoothing else None
         )
         design = _column_design(compiled, X, smoothing_k)
-        total = compiled.total_leaves
+        total = compiled.n_leaves
         n_trees = compiled.n_trees
 
         def mae(weights: np.ndarray, active: np.ndarray) -> float:

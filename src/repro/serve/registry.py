@@ -189,12 +189,11 @@ class ModelRegistry:
 
         Accepts a single :class:`~repro.core.tree.m5.M5Prime` or a
         fitted :class:`~repro.baselines.bagging.BaggedM5` ensemble.
-        The model first passes the static verifier (:mod:`repro.verify`)
-        — any ERROR finding refuses the publish before a byte is
-        written.  A clean single tree with recorded ranges stores its
-        verification certificate beside the blob; forests run the
-        structural multi-tree checks (:func:`repro.verify.verify_forest`)
-        but ship uncertified — interval certificates remain a
+        The model first passes the static verifier
+        (:func:`repro.verify.verify_model`) — any ERROR finding refuses
+        the publish before a byte is written.  A clean single tree with
+        recorded ranges stores its verification certificate beside the
+        blob; forests ship uncertified — interval certificates remain a
         single-tree feature.  Pass ``verify=False`` to skip the gate.
 
         The blob goes through the artifact cache (atomic write plus
@@ -215,14 +214,9 @@ class ModelRegistry:
             raise RegistryError("cannot publish an unfitted model")
         certificate = None
         if verify:
-            if is_forest:
-                from repro.verify import verify_forest
+            from repro.verify import verify_model
 
-                result = verify_forest(model)
-            else:
-                from repro.verify import verify_model
-
-                result = verify_model(model)
+            result = verify_model(model)
             if not result.ok:
                 findings = "; ".join(
                     d.render() for d in result.diagnostics[:5]

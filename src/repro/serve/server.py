@@ -308,7 +308,7 @@ class ModelServer:
         elif model.root_ is None:
             raise ServeError(f"cannot serve unfitted model {label!r}")
         compiled = model.compiled_
-        if certificate is None and not is_forest:
+        if certificate is None:
             try:
                 certificate = verify_model(model).certificate
             except ReproError:

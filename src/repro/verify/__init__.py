@@ -1,7 +1,7 @@
 """Static verification of compiled model artifacts.
 
 A bytecode-verifier analogue for M5' trees: the compiled arena
-(:class:`~repro.serve.compiled.CompiledTree`) is treated as an IR and
+(:class:`~repro.serve.compiled.CompiledArena`) is treated as an IR and
 proved well-formed — and its semantics bounded — *before* it serves
 traffic, without running a single prediction.
 
@@ -22,11 +22,11 @@ box plus output interval per leaf — which the registry stores beside
 the blob, the drift monitor enforces online, and the conformance
 harness cross-checks empirically.
 
-Ensembles get :func:`~repro.verify.forest.verify_forest`: arena-offset
-and leaf-column-bijection checks plus refined-weight audits (the
-``FOREST00x`` ids shared with the lint family), then the full
-single-tree verifier over every member with ``tree[i]``-prefixed
-locations.  Forests are never certified.
+:func:`verify_model` also accepts a forest: the full single-tree
+verifier over every member with ``tree[i]``-prefixed locations, then
+arena-offset and leaf-column-bijection checks plus refined-weight
+audits (the ``FOREST00x`` ids the lint family reports).  Forests are
+never certified.
 
 Usage::
 
@@ -37,7 +37,6 @@ Usage::
 """
 
 from repro.verify.abstract import AbstractAnalysis, LeafAnalysis, analyze
-from repro.verify.forest import verify_forest
 from repro.verify.certificate import (
     CERTIFICATE_SCHEMA,
     LeafCertificate,
@@ -77,7 +76,6 @@ __all__ = [
     "reachable_nodes",
     "smooth_interval",
     "verify_arena",
-    "verify_forest",
     "verify_model",
     "verify_structure",
     "widen",

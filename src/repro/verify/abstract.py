@@ -44,7 +44,7 @@ from repro.counters.invariants import (
 from repro.lint.diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # break the serve <-> verify import cycle
-    from repro.serve.compiled import CompiledTree
+    from repro.serve.compiled import CompiledArena
 from repro.verify.intervals import (
     Box,
     Interval,
@@ -150,7 +150,7 @@ def _dead_reason(
 
 
 def _output_interval(
-    compiled: CompiledTree,
+    compiled: CompiledArena,
     leaf: int,
     box: Box,
     smoothing_k: Optional[float],
@@ -158,9 +158,9 @@ def _output_interval(
     """``(raw, final, error)`` output bounds for one leaf over its box.
 
     Replays the exact ancestor chain
-    :meth:`~repro.serve.compiled.CompiledTree.predict` walks, lifted to
-    intervals; ``error`` is a message when the chain cannot be bounded
-    (ancestor without a model on the smoothing path).
+    :meth:`~repro.serve.compiled.CompiledArena.predict_trees` walks,
+    lifted to intervals; ``error`` is a message when the chain cannot
+    be bounded (ancestor without a model on the smoothing path).
     """
     def model_interval(node: int) -> Interval:
         start = int(compiled.term_offset[node])
@@ -196,7 +196,7 @@ def _output_interval(
 
 
 def analyze(
-    compiled: CompiledTree,
+    compiled: CompiledArena,
     attributes: Sequence[str],
     feature_ranges: Optional[Sequence[Tuple[float, float]]] = None,
     smoothing_k: Optional[float] = None,

@@ -1,24 +1,25 @@
-"""Static verification of compiled forests.
+"""Static verification of forests: the forest half of ``verify_model``.
 
-A forest artifact can lie in more ways than a single tree: member
-arenas can disagree with the offset tables, leaf columns can collide or
+A forest artifact can lie in more ways than a single tree: the arena's
+offsets can disagree with its trees, leaf columns can collide or
 dangle, and a refinement pass can ship weight vectors that no longer
-match the ensemble they were fitted on.  :func:`verify_forest` checks
-the multi-tree arena structurally, then runs the full single-tree
-verifier (:func:`repro.verify.verify_arena`) over every member with
-findings location-prefixed ``tree[i]``, and finally audits any attached
-refined weights.
+match the ensemble they were fitted on.  :func:`verify_forest` runs the
+full single-tree verifier over every member, with findings located
+``tree[i]``, then checks the multi-tree arena and audits any attached
+refined weights.  Callers reach it through
+:func:`repro.verify.verify_model`, which accepts trees and forests.
 
-Forest-specific findings reuse the FOREST00x ids the lint family
-(:mod:`repro.lint.forest_rules`) assigns to the same defects, so an
-operator sees one vocabulary whether the problem surfaced in-memory at
-publish time or statically over a registry blob:
+The forest findings carry the FOREST00x ids; the lint family
+(:mod:`repro.lint.forest_rules`) reports these same findings over a
+registry blob, so an operator sees one vocabulary whether the problem
+surfaced at publish time or in a registry audit:
 
 =========  ========  ====================================================
 id         severity  meaning
 =========  ========  ====================================================
 FOREST002  ERROR     arena offsets inconsistent with the member trees
-FOREST003  ERROR     refined weights/active length != total leaf count
+FOREST003  ERROR     refined weights/active length != total leaf count,
+                     or every refined leaf pruned
 FOREST004  ERROR     refined weights contain non-finite values
 FOREST005  WARNING   a tree contributes no active leaves (dead tree)
 FOREST006  WARNING   single-tree forest (bagging without aggregation)
@@ -38,16 +39,16 @@ import numpy as np
 
 from repro.errors import NotFittedError, ReproError
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.verify.runner import VerificationResult, verify_arena
+from repro.verify.runner import VerificationResult, verify_tree
 
 if TYPE_CHECKING:  # serve <-> verify stays a runtime-lazy edge
     from repro.baselines.bagging import BaggedM5
-    from repro.serve.forest import CompiledForest
+    from repro.serve.compiled import CompiledArena
 
 __all__ = ["verify_forest"]
 
 
-def _structural(compiled: "CompiledForest") -> List[Diagnostic]:
+def _structural(compiled: "CompiledArena") -> List[Diagnostic]:
     """Arena-level checks no single-tree verifier can express."""
     findings: List[Diagnostic] = []
 
@@ -80,18 +81,18 @@ def _structural(compiled: "CompiledForest") -> List[Diagnostic]:
         return findings
     if np.any(np.diff(leaves) <= 0):
         error("FOREST002", "leaf_offset is not strictly increasing")
-    if int(leaves[-1]) != compiled.total_leaves:
+    if int(leaves[-1]) != compiled.n_leaves:
         error("FOREST002", (
             f"leaf_offset ends at {int(leaves[-1])} but the arena has "
-            f"{compiled.total_leaves} leaf columns"
+            f"{compiled.n_leaves} leaf columns"
         ))
     # The leaf column <-> node maps must be mutually inverse bijections
     # over exactly the arena's leaf nodes.
     leaf_nodes = np.flatnonzero(compiled.feature < 0)
     columns = compiled.leaf_col[leaf_nodes]
     if (
-        leaf_nodes.shape[0] != compiled.total_leaves
-        or np.any(np.sort(columns) != np.arange(compiled.total_leaves))
+        leaf_nodes.shape[0] != compiled.n_leaves
+        or np.any(np.sort(columns) != np.arange(compiled.n_leaves))
         or np.any(compiled.leaf_node[columns] != leaf_nodes)
     ):
         error("FOREST002", (
@@ -103,13 +104,13 @@ def _structural(compiled: "CompiledForest") -> List[Diagnostic]:
     return findings
 
 
-def _refined(forest: "BaggedM5", compiled: "CompiledForest") -> List[Diagnostic]:
+def _refined(forest: "BaggedM5", compiled: "CompiledArena") -> List[Diagnostic]:
     """Audit attached refinement weights against the arena."""
-    refined = getattr(forest, "refined_", None)
+    refined = forest.refined_
     if refined is None:
         return []
     findings: List[Diagnostic] = []
-    total = compiled.total_leaves
+    total = compiled.n_leaves
     if (
         refined.weights.shape[0] != total
         or refined.active.shape[0] != total
@@ -155,38 +156,17 @@ def _refined(forest: "BaggedM5", compiled: "CompiledForest") -> List[Diagnostic]
 def verify_forest(forest: "BaggedM5") -> VerificationResult:
     """Verify a fitted ensemble end to end.
 
-    Compilation failures become VERIFY001 diagnostics, arena-level
-    defects FOREST002, per-member findings are the single-tree VERIFY
-    family prefixed ``tree[i]``, and refinement defects FOREST003-005.
+    Per-member findings are the single-tree VERIFY family located
+    ``tree[i]`` (a member that does not compile is a VERIFY001 there),
+    arena-level defects FOREST002, and refinement defects FOREST003-005.
     ``certificate`` is always ``None`` — forests ship uncertified.
     """
-    if not getattr(forest, "estimators_", ()):
+    if not forest.estimators_:
         raise NotFittedError("cannot verify an unfitted forest")
     result = VerificationResult()
-    try:
-        compiled = forest.compiled_
-    except ReproError as exc:
-        result.diagnostics.append(Diagnostic(
-            rule_id="VERIFY001", severity=Severity.ERROR,
-            message=f"forest does not compile: {exc}",
-        ))
-        return result
-    result.diagnostics.extend(_structural(compiled))
-    if not result.ok:
-        # Member verification walks the same arrays; don't pile noise
-        # on top of an untrustworthy arena.
-        return result
-    smoothing_k = forest.smoothing_k if forest.smoothing else None
     for index, member in enumerate(forest.estimators_):
-        member_result = verify_arena(
-            member.compiled_,
-            attributes=forest.attributes_,
-            feature_ranges=forest.feature_ranges_,
-            smoothing_k=smoothing_k,
-            target=forest.target_name_,
-        )
         prefix = f"tree[{index}]"
-        for diagnostic in member_result.diagnostics:
+        for diagnostic in verify_tree(member, forest).diagnostics:
             location = (
                 f"{prefix}:{diagnostic.location}"
                 if diagnostic.location
@@ -195,7 +175,20 @@ def verify_forest(forest: "BaggedM5") -> VerificationResult:
             result.diagnostics.append(
                 dataclasses.replace(diagnostic, location=location)
             )
-    result.diagnostics.extend(_refined(forest, compiled))
+    try:
+        compiled = forest.compiled_
+    except ReproError as exc:
+        # A member that does not compile already reported why.
+        if not any(d.rule_id == "VERIFY001" for d in result.diagnostics):
+            result.diagnostics.append(Diagnostic(
+                rule_id="VERIFY001", severity=Severity.ERROR,
+                message=f"forest does not compile: {exc}",
+            ))
+        return result
+    structural = _structural(compiled)
+    result.diagnostics.extend(structural)
+    if not structural:
+        result.diagnostics.extend(_refined(forest, compiled))
     if compiled.n_trees == 1:
         result.diagnostics.append(Diagnostic(
             rule_id="FOREST006", severity=Severity.WARNING,

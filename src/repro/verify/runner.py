@@ -1,8 +1,9 @@
 """Verifier entry points: run the layers, gate them, issue certificates.
 
 :func:`verify_model` is the one call everything else wires in — publish,
-preflight, lint, CLI, conformance.  It compiles the fitted model (a
-compile failure is itself a VERIFY001 finding, not an exception), runs
+preflight, lint, CLI, conformance — for trees and forests alike.  It
+compiles each fitted tree (a compile failure is itself a VERIFY001
+finding, not an exception), runs
 the structural layer, and only if that is clean runs the abstract
 interpretation — reasoning about routing semantics over an arena whose
 arrays cannot be trusted would report noise on top of the real defect.
@@ -24,12 +25,18 @@ from repro.errors import NotFittedError, ReproError
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 
 if TYPE_CHECKING:  # break the serve <-> verify import cycle
-    from repro.serve.compiled import CompiledTree
+    from repro.serve.compiled import CompiledArena
 from repro.verify.abstract import analyze
 from repro.verify.certificate import VerificationCertificate
 from repro.verify.structural import verify_structure
 
-__all__ = ["N_VERIFY_RULES", "VerificationResult", "verify_arena", "verify_model"]
+__all__ = [
+    "N_VERIFY_RULES",
+    "VerificationResult",
+    "verify_arena",
+    "verify_model",
+    "verify_tree",
+]
 
 #: The VERIFY rule family size (VERIFY001..VERIFY008).
 N_VERIFY_RULES = 8
@@ -75,7 +82,7 @@ class VerificationResult:
 
 
 def verify_arena(
-    compiled: CompiledTree,
+    compiled: CompiledArena,
     attributes: Sequence[str],
     feature_ranges: Optional[Sequence[Tuple[float, float]]] = None,
     smoothing_k: Optional[float] = None,
@@ -123,24 +130,41 @@ def verify_arena(
     return result
 
 
-def verify_model(model: M5Prime) -> VerificationResult:
-    """Verify a fitted model end to end (the high-level entry point).
+def verify_model(model) -> VerificationResult:
+    """Verify a fitted tree or forest end to end (the high-level entry
+    point).
 
     Compilation failures become VERIFY001 diagnostics — the verifier's
     contract is findings, not exceptions, for any artifact state short
-    of "never fitted".
+    of "never fitted".  A forest (a fitted
+    :class:`~repro.baselines.bagging.BaggedM5`) goes through
+    :func:`repro.verify.forest.verify_forest`: every member verified as
+    a tree with ``tree[i]`` locations, then the FOREST00x checks.
+    Forests are never certified.
     """
+    if hasattr(model, "estimators_"):
+        from repro.verify.forest import verify_forest
+
+        return verify_forest(model)
     if model.root_ is None:
         raise NotFittedError("cannot verify an unfitted model")
-    result = VerificationResult()
+    return verify_tree(model, model)
+
+
+def verify_tree(tree: M5Prime, model) -> VerificationResult:
+    """Compile one tree and verify it in ``model``'s context.
+
+    ``model`` supplies the attribute names, training ranges, smoothing
+    mode and target: it is the tree itself, or the forest the tree is a
+    member of.
+    """
     try:
-        compiled = model.compiled_
+        compiled = tree.compiled_
     except ReproError as exc:
-        result.diagnostics.append(Diagnostic(
+        return VerificationResult(diagnostics=[Diagnostic(
             rule_id="VERIFY001", severity=Severity.ERROR,
             message=f"tree does not compile: {exc}",
-        ))
-        return result
+        )])
     return verify_arena(
         compiled,
         attributes=model.attributes_,

@@ -1,9 +1,9 @@
 """Layer 1 of the static model verifier: structural checks.
 
-A :class:`~repro.serve.compiled.CompiledTree` is trusted IR for the
-serving stack — routing indexes arrays with whatever the ``left`` /
-``right`` columns contain, so a corrupt arena does not crash, it
-*misroutes silently*.  This module proves the arena is a well-formed
+A one-tree :class:`~repro.serve.compiled.CompiledArena` is trusted IR
+for the serving stack — routing indexes arrays with whatever the
+``left`` / ``right`` columns contain, so a corrupt arena does not
+crash, it *misroutes silently*.  This module proves the arena is a well-formed
 binary tree before anything downstream reasons about its semantics:
 
 * ``VERIFY001`` — arena well-formedness: array lengths agree, split
@@ -35,7 +35,7 @@ import numpy as np
 from repro.lint.diagnostics import Diagnostic, Severity
 
 if TYPE_CHECKING:  # break the serve <-> verify import cycle
-    from repro.serve.compiled import CompiledTree
+    from repro.serve.compiled import CompiledArena
 
 __all__ = [
     "reachable_nodes",
@@ -57,13 +57,13 @@ def _warning(rule_id: str, message: str, location: str = "") -> Diagnostic:
     )
 
 
-def _node_location(compiled: CompiledTree, node: int) -> str:
+def _node_location(compiled: CompiledArena, node: int) -> str:
     if 0 <= node < compiled.n_nodes and compiled.feature[node] < 0:
         return f"node {node} (leaf LM{int(compiled.leaf_id[node])})"
     return f"node {node}"
 
 
-def reachable_nodes(compiled: CompiledTree) -> Set[int]:
+def reachable_nodes(compiled: CompiledArena) -> Set[int]:
     """Node indices reachable from the root by valid child edges.
 
     Follows only in-range child pointers and never revisits a node, so
@@ -86,7 +86,7 @@ def reachable_nodes(compiled: CompiledTree) -> Set[int]:
     return seen
 
 
-def _check_arena(compiled: CompiledTree) -> List[Diagnostic]:
+def _check_arena(compiled: CompiledArena) -> List[Diagnostic]:
     """VERIFY001: shapes, index ranges, CSR layout, parents, depth."""
     findings: List[Diagnostic] = []
     n = compiled.n_nodes
@@ -216,7 +216,7 @@ def _check_arena(compiled: CompiledTree) -> List[Diagnostic]:
     return findings
 
 
-def _actual_depth(compiled: CompiledTree) -> int:
+def _actual_depth(compiled: CompiledArena) -> int:
     """Longest root-to-node edge count over valid edges (cycle-safe)."""
     n = compiled.n_nodes
     depth = 0
@@ -235,7 +235,7 @@ def _actual_depth(compiled: CompiledTree) -> int:
     return depth
 
 
-def _check_graph(compiled: CompiledTree) -> List[Diagnostic]:
+def _check_graph(compiled: CompiledArena) -> List[Diagnostic]:
     """VERIFY002: single-parent edges, acyclicity, full reachability."""
     findings: List[Diagnostic] = []
     n = compiled.n_nodes
@@ -271,7 +271,7 @@ def _check_graph(compiled: CompiledTree) -> List[Diagnostic]:
     return findings
 
 
-def _check_leaf_ids(compiled: CompiledTree) -> List[Diagnostic]:
+def _check_leaf_ids(compiled: CompiledArena) -> List[Diagnostic]:
     """VERIFY003: reachable leaves number LM1..LMk exactly once each."""
     findings: List[Diagnostic] = []
     reached = sorted(reachable_nodes(compiled))
@@ -295,7 +295,7 @@ def _check_leaf_ids(compiled: CompiledTree) -> List[Diagnostic]:
     return findings
 
 
-def _check_finiteness(compiled: CompiledTree) -> List[Diagnostic]:
+def _check_finiteness(compiled: CompiledArena) -> List[Diagnostic]:
     """VERIFY004: thresholds, models, and weights are finite numbers."""
     findings: List[Diagnostic] = []
     is_split = compiled.feature >= 0
@@ -352,7 +352,7 @@ def _check_finiteness(compiled: CompiledTree) -> List[Diagnostic]:
     return findings
 
 
-def verify_structure(compiled: CompiledTree) -> List[Diagnostic]:
+def verify_structure(compiled: CompiledArena) -> List[Diagnostic]:
     """Run all layer-1 checks; empty result means structurally sound.
 
     ``VERIFY001`` findings short-circuit the graph-level checks — when

@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.baselines import BaggedM5
+from repro.core.tree.serialize import model_from_dict, model_to_dict
 from repro.datasets.synthetic import figure1_dataset
-from repro.serve.forest_io import forest_from_dict, forest_to_dict
 from repro.serve.refine import RefinedForest
-from repro.verify import verify_forest
+from repro.verify import verify_model
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -64,7 +64,7 @@ def regenerate_goldens() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     forest, _ = _golden_forest()
     (GOLDEN_DIR / "forest_small.json").write_text(
-        json.dumps(forest_to_dict(forest), indent=1, sort_keys=True) + "\n"
+        json.dumps(model_to_dict(forest), indent=1, sort_keys=True) + "\n"
     )
     (GOLDEN_DIR / "forest_small_arena.json").write_text(
         json.dumps(_arena_document(forest), indent=1, sort_keys=True) + "\n"
@@ -75,7 +75,7 @@ class TestGoldenForest:
     def test_document_matches_golden(self):
         golden = json.loads((GOLDEN_DIR / "forest_small.json").read_text())
         forest, _ = _golden_forest()
-        fresh = json.loads(json.dumps(forest_to_dict(forest), sort_keys=True))
+        fresh = json.loads(json.dumps(model_to_dict(forest), sort_keys=True))
         assert fresh == golden
 
     def test_arena_matches_golden(self):
@@ -90,8 +90,8 @@ class TestGoldenForest:
         """The stored document loads, verifies clean, and predicts
         bit-identically to a fresh fit."""
         golden = json.loads((GOLDEN_DIR / "forest_small.json").read_text())
-        restored = forest_from_dict(golden)
-        result = verify_forest(restored)
+        restored = model_from_dict(golden)
+        result = verify_model(restored)
         assert result.ok, [d.render() for d in result.diagnostics]
         forest, data = _golden_forest()
         assert np.array_equal(

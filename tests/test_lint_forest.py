@@ -8,6 +8,7 @@ import pytest
 from repro.baselines import BaggedM5
 from repro.datasets.synthetic import figure1_dataset
 from repro.lint import FAMILY_FOREST, lint_forest, run_lint
+from repro.lint.diagnostics import Severity
 from repro.serve.refine import RefinedForest
 from repro.serve.registry import ModelRegistry
 
@@ -29,6 +30,14 @@ def registry(tmp_path, fitted_forest):
 
 def _rule_ids(report):
     return sorted({d.rule_id for d in report.diagnostics})
+
+
+def _errors(report, rule_id):
+    """The messages of a rule's findings, each of them an ERROR."""
+    found = [d for d in report.diagnostics if d.rule_id == rule_id]
+    assert found, report.diagnostics
+    assert all(d.severity is Severity.ERROR for d in found)
+    return [d.message for d in found]
 
 
 def _edit_blob(registry, mutate):
@@ -76,12 +85,15 @@ class TestForestRules:
         report = lint_forest(registry.directory)
         assert _rule_ids(report) == ["FOREST001"]
 
-    def test_tree_count_lie_errors_forest002(self, registry):
+    def test_tree_count_lie_errors_forest001(self, registry):
+        # The loader refuses the document, so FOREST001 owns the lie.
         _edit_blob(registry, lambda d: d.update(n_trees=9))
         report = lint_forest(registry.directory)
-        assert "FOREST002" in _rule_ids(report)
+        assert any(
+            "tree-count mismatch" in m for m in _errors(report, "FOREST001")
+        )
 
-    def test_refined_length_mismatch_errors_forest003(self, registry):
+    def test_refined_length_mismatch_errors_forest001(self, registry):
         def truncate(document):
             document["refined"]["weights"] = (
                 document["refined"]["weights"][:-1]
@@ -89,7 +101,9 @@ class TestForestRules:
 
         _edit_blob(registry, truncate)
         report = lint_forest(registry.directory)
-        assert "FOREST003" in _rule_ids(report)
+        assert any(
+            "offset mismatch" in m for m in _errors(report, "FOREST001")
+        )
 
     def test_nonfinite_weight_errors_forest004(self, registry):
         def poison(document):
@@ -127,3 +141,49 @@ class TestForestRules:
         assert _rule_ids(report) == ["FOREST006"]
         assert report.exit_code(strict=False) == 0
         assert report.exit_code(strict=True) == 1
+
+
+class TestForestRulesRunTheVerifier:
+    """Tampered blobs the verifier rejects must not lint clean."""
+
+    def test_every_leaf_pruned_errors_forest003(self, registry):
+        def prune_all(document):
+            active = document["refined"]["active"]
+            document["refined"]["active"] = [0] * len(active)
+
+        _edit_blob(registry, prune_all)
+        report = lint_forest(registry.directory)
+        assert any(
+            "every refined leaf is pruned" in m
+            for m in _errors(report, "FOREST003")
+        )
+        assert report.exit_code(strict=False) == 2
+
+    def test_nan_leaf_model_errors_forest001(self, registry):
+        def poison(document):
+            node = document["trees"][1]["tree"]
+            while node["kind"] == "split":
+                node = node["left"]
+            node["model"]["intercept"] = float("nan")
+
+        _edit_blob(registry, poison)
+        report = lint_forest(registry.directory)
+        assert any(
+            "tree[1]" in m and "VERIFY004" in m
+            for m in _errors(report, "FOREST001")
+        )
+        assert report.exit_code(strict=False) == 2
+
+    def test_nan_threshold_errors_forest001(self, registry):
+        def poison(document):
+            root = document["trees"][2]["tree"]
+            assert root["kind"] == "split"
+            root["threshold"] = float("nan")
+
+        _edit_blob(registry, poison)
+        report = lint_forest(registry.directory)
+        assert any(
+            "tree[2]" in m and "VERIFY001" in m
+            for m in _errors(report, "FOREST001")
+        )
+        assert report.exit_code(strict=False) == 2

@@ -1,5 +1,6 @@
 """Compiled tree inference: bit-identity with the interpreted walk."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.baselines import BaggedM5
 from repro.core.tree import M5Prime, model_from_dict, model_to_dict
 from repro.core.tree.node import route
 from repro.core.tree.smoothing import smoothed_predict
@@ -33,10 +35,11 @@ def fitted_models(draw, max_rows=80, max_cols=4):
     return model, probes
 
 
-def interpreted(model, X):
-    """The scalar reference walk the compiled path must reproduce."""
+def interpreted(model, X, smoothing=None):
+    """The scalar reference walk the compiled path must reproduce
+    (smoothed as the model is fitted unless ``smoothing`` says)."""
     root = model.root_
-    if model.smoothing:
+    if model.smoothing if smoothing is None else smoothing:
         return np.array(
             [smoothed_predict(root, x, k=model.smoothing_k) for x in X]
         )
@@ -54,6 +57,16 @@ class TestBitIdentity:
         want = interpreted(model, probes)
         # Bit-identical, not merely close: array_equal on float arrays.
         assert np.array_equal(got, want)
+        # A tree is the one-tree arena: one routing column, and its one
+        # row of per-tree predictions is the prediction itself.
+        assert compiled.n_trees == 1
+        assert compiled.route(probes).shape == (probes.shape[0], 1)
+        for smoothing in (False, True):
+            k = model.smoothing_k if smoothing else None
+            want = interpreted(model, probes, smoothing)
+            per_tree = compiled.predict_trees(probes, smoothing_k=k)
+            assert np.array_equal(per_tree[0], want)
+            assert np.array_equal(compiled.predict(probes, smoothing_k=k), want)
 
     @settings(max_examples=30, deadline=None)
     @given(fitted_models())
@@ -112,6 +125,19 @@ class TestCompiledStructure:
         with pytest.raises(NotFittedError):
             M5Prime().compiled_
 
+    def test_one_member_forest_arena_is_its_member_arena(self, figure1_data):
+        forest = BaggedM5(n_estimators=1, min_instances=30, seed=1)
+        forest.fit(figure1_data)
+        ensemble, member = forest.compiled_, forest[0].compiled_
+        for field in dataclasses.fields(ensemble):
+            got = getattr(ensemble, field.name)
+            want = getattr(member, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, field.name
+                assert np.array_equal(got, want, equal_nan=True), field.name
+            else:
+                assert got == want, field.name
+
 
 class TestCompiledErrors:
     def test_width_mismatch_rejected(self, figure1_tree):
@@ -130,7 +156,7 @@ class TestCompiledErrors:
     def test_out_of_range_split_index_rejected(self, figure1_tree):
         # Compiling against fewer features than the splits reference.
         with pytest.raises(DataError):
-            compile_tree(figure1_tree.root_, 0)
+            compile_tree([figure1_tree.root_], 0)
 
     def test_nan_threshold_rejected(self, figure1_tree):
         # A NaN threshold compares false against everything, so every
@@ -140,7 +166,7 @@ class TestCompiledErrors:
         root = copy.deepcopy(figure1_tree.root_)
         root.threshold = float("nan")
         with pytest.raises(DataError, match="non-finite threshold"):
-            compile_tree(root, len(figure1_tree.attributes_))
+            compile_tree([root], len(figure1_tree.attributes_))
 
     def test_empty_batch(self, figure1_tree):
         X = np.empty((0, len(figure1_tree.attributes_)))

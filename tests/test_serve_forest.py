@@ -1,4 +1,4 @@
-"""Tests for the compiled forest arena (repro.serve.forest)."""
+"""Tests for the compiled arena over a forest (repro.serve.compiled)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.baselines import BaggedM5
 from repro.core.tree.node import route
 from repro.datasets.synthetic import figure1_dataset
 from repro.errors import ConfigError, DataError, NotFittedError
-from repro.serve.forest import compile_forest
 
 
 @pytest.fixture(scope="module")
@@ -194,14 +193,14 @@ class TestLeafSummary:
 class TestCompileErrors:
     def test_unfitted_forest(self):
         with pytest.raises(NotFittedError):
-            compile_forest(BaggedM5(n_estimators=2))
+            BaggedM5(n_estimators=2).compiled_
 
     def test_smoothing_mismatch(self, data):
         forest = BaggedM5(n_estimators=2, min_instances=30, seed=1).fit(data)
         forest.estimators_[1].smoothing = True
         try:
             with pytest.raises(ConfigError):
-                compile_forest(forest)
+                forest.compiled_
         finally:
             forest.estimators_[1].smoothing = False
 

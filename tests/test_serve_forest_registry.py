@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from repro.baselines import BaggedM5
+from repro.core.tree.serialize import (
+    load_model,
+    loads_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+)
 from repro.datasets.synthetic import figure1_dataset
 from repro.errors import ParseError, RegistryError, ServeError
-from repro.serve.forest_io import (
-    forest_from_dict,
-    forest_to_dict,
-    load_any_model,
-    loads_any_model,
-    save_forest,
-)
 from repro.serve.refine import RefinedForest
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import ModelServer
@@ -113,36 +113,48 @@ class TestFailurePaths:
         assert (registry.cache.quarantine_directory / record.blob).exists()
 
     def test_tree_count_mismatch_names_defect(self, forest):
-        document = forest_to_dict(forest)
+        document = model_to_dict(forest)
         document["n_trees"] = 7
         with pytest.raises(ParseError, match="tree-count mismatch"):
-            forest_from_dict(document)
+            model_from_dict(document)
 
     def test_refined_offset_mismatch_names_defect(self, forest):
-        document = forest_to_dict(forest)
+        document = model_to_dict(forest)
         document["refined"]["weights"] = document["refined"]["weights"][:-1]
         with pytest.raises(ParseError, match="offset mismatch"):
-            forest_from_dict(document)
+            model_from_dict(document)
+
+    def test_zero_estimators_is_a_parse_error(self, forest):
+        document = model_to_dict(forest)
+        document["params"]["n_estimators"] = 0
+        with pytest.raises(ParseError, match="n_estimators"):
+            loads_model(json.dumps(document))
+
+    def test_out_of_range_sample_fraction_is_a_parse_error(self, forest):
+        document = model_to_dict(forest)
+        document["params"]["sample_fraction"] = 2.0
+        with pytest.raises(ParseError, match="sample_fraction"):
+            loads_model(json.dumps(document))
 
     def test_unknown_format_names_expectations(self):
         with pytest.raises(ParseError, match="unknown model format"):
-            loads_any_model(json.dumps({"format": "repro-mystery"}))
+            loads_model(json.dumps({"format": "repro-mystery"}))
 
     def test_load_failure_names_source_path(self, tmp_path, forest):
         path = tmp_path / "forest.json"
-        save_forest(forest, path)
+        save_model(forest, path)
         document = json.loads(path.read_text())
         document["trees"] = document["trees"][:-1]
         path.write_text(json.dumps(document))
         with pytest.raises(ParseError, match="forest.json"):
-            load_any_model(path)
+            load_model(path)
 
 
 class TestFileRoundTrip:
     def test_save_load_bit_identical(self, tmp_path, forest, data):
         path = tmp_path / "forest.json"
-        save_forest(forest, path)
-        restored = load_any_model(path)
+        save_model(forest, path)
+        restored = load_model(path)
         assert np.array_equal(
             restored.predict(data.X), forest.predict(data.X)
         )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.lint.diagnostics import Severity
-from repro.serve.compiled import CompiledTree
+from repro.serve.compiled import CompiledArena
 from repro.verify import (
     Box,
     analyze,
@@ -116,9 +116,14 @@ def _mini_arena(**overrides):
         term_feature=np.array([1], dtype=np.int64),
         term_coefficient=np.array([3.0]),
         max_depth=1,
+        n_trees=1,
+        tree_offset=np.array([0, 3], dtype=np.int64),
+        leaf_offset=np.array([0, 2], dtype=np.int64),
+        leaf_col=np.array([-1, 0, 1], dtype=np.int64),
+        leaf_node=np.array([1, 2], dtype=np.int64),
     )
     fields.update(overrides)
-    return CompiledTree(**fields)
+    return CompiledArena(**fields)
 
 
 class TestAnalyzeMiniArena:
