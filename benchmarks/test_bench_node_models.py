@@ -2,18 +2,21 @@
 
 Every tree node gets a linear model from four primitives in
 :mod:`repro.core.tree.linear`: the collinearity filter, the fit, greedy
-term dropping and opposed-pair resolution.  Production runs each call on
-one node state that computes column ranges, target moments and
-correlations once, and solves each greedy step's drop-one subsets and
-the correlations as stacked batches; the ``reference_*`` functions in
-:mod:`repro.conformance.oracle` recompute them for every refit, one
-subset and one pair at a time.  Both fit the same recorded nodes: every
-node of the quick-suite fits at min_instances 6 and 25, captured
-untimed.  The gate asserts bit-identical selections and models and that
-production is at least 3.0x faster — a ratio, so it holds on any
-runner.  Pinned to one CPU of a 2-vCPU Xeon, the unbatched node state
-measured x2.14-x3.02 over twelve runs (median x2.38) and the stacked
-one x3.47-x5.14 over six (median x3.87).
+term dropping and opposed-pair resolution.  Production runs a node's
+four calls on one shared node state, as ``TreeBuilder._fit_model``
+does: it computes column ranges, target moments, the node's centred
+rows and the correlations once, and solves each greedy step's drop-one
+subsets and the correlations as stacked batches.  The ``reference_*``
+functions in :mod:`repro.conformance.oracle` recompute them for every
+refit, one subset and one pair at a time.  Both fit the same recorded
+nodes: every node of the quick-suite fits at min_instances 6 and 25,
+captured untimed.  The gate asserts bit-identical selections and models
+and that production is at least 3.0x faster — a ratio, so it holds on
+any runner.  Pinned to one CPU of a 2-vCPU Xeon, the unbatched node
+state measured x2.14-x3.02 over twelve runs (median x2.38) and the
+stacked one x3.47-x5.14 over six (median x3.87).  Unpinned on the same
+host, one state per call measured x3.89-x4.24 over three runs and one
+shared state per node x5.06-x5.77.
 """
 
 import struct
@@ -30,6 +33,7 @@ from repro.conformance.oracle import (
 from repro.core.tree import M5Prime
 from repro.core.tree.builder import TreeBuilder
 from repro.core.tree.linear import (
+    _NodeState,
     fit_linear_model,
     resolve_opposed_pairs,
     select_uncorrelated,
@@ -76,14 +80,25 @@ def node_inputs(bench_dataset):
 
 
 def fit_nodes(implementation, nodes):
-    """The builder's default node pipeline, per node: (kept, model)."""
+    """The builder's default node pipeline, per node: (kept, model).
+
+    Production runs a node's four calls on one shared state, as
+    ``TreeBuilder._fit_model`` does; the references take none.
+    """
     select, fit, simplify, resolve = PRIMITIVES[implementation]
     out = []
     for X, y, candidates, names, ridge, nonnegative, threshold in nodes:
-        kept = select(X, y, candidates, threshold)
-        model = fit(X, y, kept, names, ridge, nonnegative)
-        model = simplify(model, X, y, names, ridge, nonnegative)
-        out.append((kept, resolve(model, X, y, names, ridge, nonnegative=nonnegative)))
+        shared = (
+            {"state": _NodeState(X, y, ridge, nonnegative)}
+            if implementation == "production" else {}
+        )
+        kept = select(X, y, candidates, threshold, **shared)
+        model = fit(X, y, kept, names, ridge, nonnegative, **shared)
+        model = simplify(model, X, y, names, ridge, nonnegative, **shared)
+        out.append((
+            kept,
+            resolve(model, X, y, names, ridge, nonnegative=nonnegative, **shared),
+        ))
     return out
 
 

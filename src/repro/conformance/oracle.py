@@ -8,10 +8,10 @@ node models (the ``reference_*`` node-model functions), trace replay
 ``np.convolve`` ROB window of :class:`ReferenceCycleAccounting`, at the
 end).
 
-Every optimized M5' execution path in this package — the chunked vectorized
-split scan (:mod:`repro.core.tree.splitting`), the per-call node state of
-the node-model primitives (:mod:`repro.core.tree.linear`), the compiled
-flat-array inference (:mod:`repro.serve.compiled`), parallel
+Every optimized M5' execution path in this package — the vectorized split
+scan over presorted orders (:mod:`repro.core.tree.splitting`), the node
+state the node-model primitives share (:mod:`repro.core.tree.linear`),
+the compiled flat-array inference (:mod:`repro.serve.compiled`), parallel
 cross-validation folds, cached artifacts, JSON round trips — promises to
 compute *exactly* the Quinlan/Wang–Witten M5' algorithm.  This module is
 the other side of that promise: a straight-line, textbook transcription
@@ -466,12 +466,12 @@ def _assign_leaf_ids(root: Node) -> int:
 # ----------------------------------------------------------------------
 # Node-model oracle
 #
-# Each public primitive in :mod:`repro.core.tree.linear` works on one
-# per-call node state that computes column ranges, target moments and
-# correlations once and compares candidates on their raw solves.  The
-# functions below recompute every refit and correlation from the raw
-# columns and build a LinearModel per candidate.  Production must match
-# them bit for bit.
+# Each public primitive in :mod:`repro.core.tree.linear` works on a node
+# state, one per tree node, that computes column ranges, target moments,
+# centred rows and correlations once and compares candidates on their raw
+# solves.  The functions below recompute every refit and correlation from
+# the raw columns and build a LinearModel per candidate.  Production must
+# match them bit for bit.
 
 
 def reference_select_uncorrelated(

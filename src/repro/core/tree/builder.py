@@ -24,13 +24,14 @@ from typing import FrozenSet, Sequence, Tuple
 import numpy as np
 
 from repro.core.tree.linear import (
+    _NodeState,
     fit_linear_model,
     resolve_opposed_pairs,
     select_uncorrelated,
     simplify_model,
 )
 from repro.core.tree.node import LeafNode, Node, SplitNode, assign_leaf_ids
-from repro.core.tree.splitting import find_best_split
+from repro.core.tree.splitting import find_best_split, partition_order
 from repro.errors import ConfigError, DataError
 
 MODEL_ATTRIBUTE_POLICIES = ("subtree", "path", "path+subtree", "all")
@@ -98,15 +99,25 @@ class TreeBuilder:
             self._names.index(name) for name in self.nonnegative_attributes
         )
         self._global_sd = float(np.std(y))
-        root, _ = self._grow(X, y, frozenset())
+        # Every column sorted once; each node's order is then a stable
+        # partition of its parent's (see splitting.partition_order).
+        order = np.argsort(X.T, axis=1, kind="stable").T
+        root, _ = self._grow(X, y, frozenset(), order)
         assign_leaf_ids(root)
         return root
 
     # ------------------------------------------------------------------
     def _grow(
-        self, X: np.ndarray, y: np.ndarray, path_attributes: FrozenSet[int]
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        path_attributes: FrozenSet[int],
+        order: np.ndarray,
     ) -> Tuple[Node, FrozenSet[int]]:
-        """Returns the subtree plus the set of attributes it tests."""
+        """Returns the subtree plus the set of attributes it tests.
+
+        ``order`` is ``np.argsort(X, axis=0, kind="stable")``.
+        """
         n = y.shape[0]
         sd = float(np.std(y))
         mean = float(np.mean(y))
@@ -116,7 +127,7 @@ class TreeBuilder:
             n >= 2 * self.min_instances
             and sd > self.sd_fraction * self._global_sd
         ):
-            split = find_best_split(X, y, min_leaf=self.min_instances)
+            split = find_best_split(X, y, min_leaf=self.min_instances, order=order)
 
         if split is None:
             leaf = LeafNode(n, sd, mean)
@@ -124,9 +135,12 @@ class TreeBuilder:
             return leaf, frozenset()
 
         go_left = X[:, split.attribute_index] <= split.threshold
+        left_order, right_order = partition_order(order, go_left)
         child_path = path_attributes | {split.attribute_index}
-        left, left_attrs = self._grow(X[go_left], y[go_left], child_path)
-        right, right_attrs = self._grow(X[~go_left], y[~go_left], child_path)
+        left, left_attrs = self._grow(X[go_left], y[go_left], child_path, left_order)
+        right, right_attrs = self._grow(
+            X[~go_left], y[~go_left], child_path, right_order
+        )
         subtree_attrs = left_attrs | right_attrs | {split.attribute_index}
 
         node = SplitNode(
@@ -158,14 +172,17 @@ class TreeBuilder:
             candidates = path_attributes
         else:  # path+subtree
             candidates = path_attributes | subtree_attributes
+        # One state for the node's four calls: column ranges, target
+        # moments, centred rows and correlations are computed once.
+        state = _NodeState(X, y, self.ridge, self._nonnegative_indices)
         usable = candidates
         if self.collinearity_threshold < 1.0:
             usable = select_uncorrelated(
-                X, y, sorted(candidates), self.collinearity_threshold
+                X, y, sorted(candidates), self.collinearity_threshold, state=state
             )
         model = fit_linear_model(
             X, y, sorted(usable), self._names, self.ridge,
-            self._nonnegative_indices,
+            self._nonnegative_indices, state=state,
         )
         if self.simplify:
             model = simplify_model(
@@ -175,10 +192,11 @@ class TreeBuilder:
                 attribute_names=self._names,
                 ridge=self.ridge,
                 nonnegative=self._nonnegative_indices,
+                state=state,
             )
         if self.collinearity_threshold < 1.0:
             model = resolve_opposed_pairs(
                 model, X, y, self._names, self.ridge,
-                nonnegative=self._nonnegative_indices,
+                nonnegative=self._nonnegative_indices, state=state,
             )
         return model

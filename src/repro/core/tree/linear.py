@@ -10,7 +10,6 @@ as per-event performance impacts (its LM8/LM11 examples).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -120,17 +119,20 @@ STACK_BLOCK = 32 * 1024
 
 
 class _NodeState:
-    """What the refits and correlations inside one public call share.
+    """What the refits and correlations of one node share.
 
-    Computed at most once per call, on first use: each column's ptp, the
-    target mean and centred target, and the correlations (keyed by
+    Computed at most once, on first use: each column's ptp, the target
+    mean and centred target, a C-ordered ``(p + 1, n)`` matrix of the
+    columns with the target as its last row, that matrix's row means,
+    centred rows and ridge penalties, and the correlations (keyed by
     ordered pair).  Ridge solves and correlations run as stacked batches
-    whose every item is bit for bit its standalone computation: a stack
-    keeps each column contiguous, as the F-ordered ``X[:, cols]`` of a
-    standalone fit does, so each reduction runs along a contiguous row,
-    and each product is shaped so that numpy makes the standalone
-    computation's BLAS call per item.  The state is dropped when the
-    call returns.
+    gathered from the centred rows, and every item is bit for bit its
+    standalone computation: each row is one contiguous run, as a column
+    of the F-ordered ``X[:, cols]`` of a standalone fit is, so each mean
+    and standard deviation is the same contiguous reduction, and each
+    product is shaped so that numpy makes the standalone computation's
+    BLAS call per item.  The tree builder passes one state to a node's
+    four public calls; a call without one builds its own.
     """
 
     def __init__(
@@ -164,6 +166,32 @@ class _NodeState:
     def y_centred(self) -> np.ndarray:
         return self.y - self.y_mean
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The columns, then the target, as C-ordered rows.
+
+        Filled row by row: ``np.concatenate([X.T, y[None]])`` would be
+        F-ordered, and its row means would reduce across the rows.
+        """
+        rows = np.empty((self.X.shape[1] + 1, self.n))
+        rows[:-1] = self.X.T
+        rows[-1] = self.y
+        return rows
+
+    @cached_property
+    def row_means(self) -> np.ndarray:
+        return self.rows.mean(axis=1)
+
+    @cached_property
+    def centred(self) -> np.ndarray:
+        """Each row minus its mean, as np.cov and the ridge solve centre it."""
+        return self.rows - self.row_means[:, None]
+
+    @cached_property
+    def penalties(self) -> np.ndarray:
+        """Each row's squared standard deviation, floored: the ridge diagonal."""
+        return np.maximum(self.centred.std(axis=1), 1e-12) ** 2
+
     # ------------------------------------------------------------------
     def correlation(self, i: Optional[int], j: Optional[int]) -> float:
         """``np.corrcoef(column_i, column_j)[0, 1]``, bit for bit.
@@ -177,8 +205,10 @@ class _NodeState:
             self.correlate((key,))
         return self._correlations[key]
 
-    def _spread(self, key: Optional[int]) -> float:
-        return self.y_ptp if key is _TARGET else self.ptp[key]
+    @cached_property
+    def _flat(self) -> List[bool]:
+        """Per row of :attr:`rows`: is its range at most 1e-15?"""
+        return [spread <= 1e-15 for spread in self.ptp + [self.y_ptp]]
 
     def correlate(self, pairs: Iterable[Tuple[Optional[int], Optional[int]]]) -> None:
         """Memoize the correlation of each ordered pair, in stacked blocks.
@@ -188,39 +218,43 @@ class _NodeState:
         by each standard deviation in turn, clipped to [-1, 1] (NaN
         passes through).  Stacked as ``(P, 2, n)``, each item makes the
         same syrk call as np.corrcoef; a single Gram of all the rows
-        would not match it.
+        would not match it.  The elementwise steps are correctly
+        rounded, so doing them on arrays changes no bit.
         """
         memo = self._correlations
+        flat = self._flat
         pending = []
+        index = []
         for key in pairs:
             if key not in memo:
-                if self._spread(key[0]) <= 1e-15 or self._spread(key[1]) <= 1e-15:
+                # The target is the last row.
+                i, j = key
+                i = -1 if i is _TARGET else i
+                j = -1 if j is _TARGET else j
+                if flat[i] or flat[j]:
                     memo[key] = 0.0
                 else:
                     pending.append(key)
+                    index.append((i, j))
         if not pending:
             return
-        # Each column this batch reads, once, as a contiguous row minus
-        # its mean, as np.cov centres it.
-        position: Dict[Optional[int], int] = {}
-        for key in pending:
-            for k in key:
-                position.setdefault(k, len(position))
-        centred = np.array([self.y if k is _TARGET else self.X[:, k] for k in position])
-        centred -= centred.mean(axis=1, keepdims=True)
-        index = np.array([[position[i], position[j]] for i, j in pending])
+        index = np.array(index)
         # Past the guard some centred value is at least ptp / 2 in
         # magnitude, so no variance is zero (non-finite data gives NaN,
         # as in numpy).
         scale = 1 / (self.n - 1)
         per_block = max(1, STACK_BLOCK // (2 * self.n))
         for start in range(0, len(pending), per_block):
-            keys = pending[start:start + per_block]
-            stack = centred[index[start:start + per_block]]
-            products = (stack @ stack.swapaxes(1, 2)).tolist()
-            for key, ((c_ii, c_ij), (_, c_jj)) in zip(keys, products):
-                value = c_ij * scale / math.sqrt(c_ii * scale) / math.sqrt(c_jj * scale)
-                memo[key] = 1.0 if value > 1.0 else -1.0 if value < -1.0 else value
+            stack = self.centred[index[start:start + per_block]]
+            products = stack @ stack.swapaxes(1, 2)
+            values = (
+                products[:, 0, 1] * scale
+                / np.sqrt(products[:, 0, 0] * scale)
+                / np.sqrt(products[:, 1, 1] * scale)
+            )
+            # np.clip's bounds; maximum and minimum pass NaN through.
+            clipped = np.minimum(np.maximum(values, -1.0), 1.0)
+            memo.update(zip(pending[start:start + per_block], clipped.tolist()))
 
     # ------------------------------------------------------------------
     def fit(self, candidate_indices: Sequence[int]) -> _Fit:
@@ -284,12 +318,12 @@ class _NodeState:
         """Standardized-ridge fits of equal-length usable subsets, stacked.
 
         Center, penalize standardized coefficients, back-transform.  Per
-        block of subsets, the columns are a ``(b, m, n)`` stack gathered
-        from ``X.T``, each column one contiguous row, so every mean and
-        standard deviation reduces a contiguous run, as it does in the
-        F-ordered ``X[:, cols]`` of a standalone fit.  Per item, the Gram
-        is a syrk, the right-hand side and the fitted values are gemv
-        calls, and the intercept's product is a dot, as in that fit.
+        block of subsets, the raw and centred columns are ``(b, m, n)``
+        stacks gathered from the state's rows, with their means and
+        ridge penalties, each as a standalone fit of the F-ordered
+        ``X[:, cols]`` reduces it.  Per item, the Gram is a syrk, the
+        right-hand side and the fitted values are gemv calls, and the
+        intercept's product is a dot, as in that fit.
         """
         n = self.n
         width = len(subsets[0])
@@ -299,18 +333,22 @@ class _NodeState:
         fits = []
         for start in range(0, len(subsets), per_block):
             block = subsets[start:start + per_block]
-            columns = self.X.T[np.array(block)]
-            means = columns.mean(axis=2)
-            centred = columns - means[..., None]
+            index = np.array(block)
+            columns = self.rows[index]
+            means = self.row_means[index]
+            centred = self.centred[index]
             penalty = np.zeros((len(block), width, width))
-            penalty[:, diagonal, diagonal] = np.maximum(centred.std(axis=2), 1e-12) ** 2
+            penalty[:, diagonal, diagonal] = self.penalties[index]
             gram = centred @ centred.swapaxes(1, 2) + penalty_scale * penalty
             rhs = centred @ self.y_centred
             coefficients = np.linalg.solve(gram, rhs[..., None])
             offsets = coefficients.swapaxes(1, 2) @ means[..., None]
             intercepts = self.y_mean - offsets[:, 0, 0]
             fitted = (columns.swapaxes(1, 2) @ coefficients)[..., 0]
-            errors = np.abs(self.y - (fitted + intercepts[:, None])).mean(axis=1)
+            # The sum over n is what mean(axis=1) divides, without its
+            # Python-level wrapper.
+            residuals = np.abs(self.y - (fitted + intercepts[:, None]))
+            errors = np.add.reduce(residuals, axis=1) / n
             fits.extend(
                 _Fit(subset, intercept, tuple(row), error)
                 for subset, intercept, row, error in zip(
@@ -336,6 +374,7 @@ def select_uncorrelated(
     y: np.ndarray,
     candidate_indices: Sequence[int],
     threshold: float = 0.95,
+    state: Optional[_NodeState] = None,
 ) -> List[int]:
     """Greedily drop near-duplicate candidate attributes.
 
@@ -345,14 +384,17 @@ def select_uncorrelated(
     opposite-signed coefficients that destroy interpretability.  Candidates
     are ranked by |correlation with the target| and kept only if they do
     not correlate beyond ``threshold`` with an already-kept candidate.
-    The returned list is in ascending index order.
+    The returned list is in ascending index order.  ``state`` is the
+    node's shared state (see :func:`fit_linear_model`).
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"threshold must lie in (0, 1], got {threshold}")
-    state = _NodeState(X, y)
+    if state is None:
+        state = _NodeState(X, y)
+    correlations = state._correlations
     state.correlate([(index, _TARGET) for index in candidate_indices])
     ranked = sorted(
-        candidate_indices, key=lambda j: -abs(state.correlation(j, _TARGET))
+        candidate_indices, key=lambda j: -abs(correlations[j, _TARGET])
     )
     state.correlate(
         (index, other)
@@ -361,9 +403,7 @@ def select_uncorrelated(
     )
     kept: List[int] = []
     for index in ranked:
-        if all(
-            abs(state.correlation(index, other)) <= threshold for other in kept
-        ):
+        if all(abs(correlations[index, other]) <= threshold for other in kept):
             kept.append(index)
     return sorted(kept)
 
@@ -375,6 +415,7 @@ def fit_linear_model(
     attribute_names: Sequence[str],
     ridge: float = 0.0,
     nonnegative: Sequence[int] = (),
+    state: Optional[_NodeState] = None,
 ) -> LinearModel:
     """Least-squares fit of ``y`` on the candidate attribute columns.
 
@@ -391,9 +432,29 @@ def fit_linear_model(
             to be >= 0 — the physical reading of stall-event metrics,
             which cannot make the machine faster.  Solved with a bounded
             least-squares solver (scipy) when any constraint applies.
+        state: The node's shared state, built on the same ``X``, ``y``,
+            ``ridge`` and ``nonnegative``, so that the node's calls
+            compute column ranges, centred rows and correlations once;
+            ``None`` builds one for this call.  Either way the model is
+            the same, bit for bit.
     """
-    state = _NodeState(X, y, ridge, nonnegative)
+    state = _node_state(state, X, y, ridge, nonnegative)
     return state.model(state.fit(candidate_indices), attribute_names)
+
+
+def _node_state(
+    state: Optional[_NodeState],
+    X: np.ndarray,
+    y: np.ndarray,
+    ridge: float,
+    nonnegative: Sequence[int],
+) -> _NodeState:
+    """``state``, checked against the call's solver settings, or a new one."""
+    if state is None:
+        return _NodeState(X, y, ridge, nonnegative)
+    if state.ridge != ridge or state.nonnegative != frozenset(nonnegative):
+        raise ConfigError("state was built for another ridge or nonnegative set")
+    return state
 
 
 def _bounded_fit(
@@ -434,6 +495,7 @@ def resolve_opposed_pairs(
     ridge: float = 0.0,
     corr_threshold: float = 0.75,
     nonnegative: Sequence[int] = (),
+    state: Optional[_NodeState] = None,
 ) -> LinearModel:
     """Dissolve opposite-signed terms on strongly correlated attributes.
 
@@ -444,9 +506,10 @@ def resolve_opposed_pairs(
     that makes a leaf equation unreadable and its contribution
     decomposition meaningless.  The member less correlated with the
     target is dropped and the model refitted, repeating until no such
-    pair remains.  Well-behaved models pass through unchanged.
+    pair remains.  Well-behaved models pass through unchanged.  ``state``
+    is the node's shared state (see :func:`fit_linear_model`).
     """
-    state = _NodeState(X, y, ridge, nonnegative)
+    state = _node_state(state, X, y, ridge, nonnegative)
     indices, coefficients = model.indices, model.coefficients
     resolved: Optional[_Fit] = None
     while True:
@@ -489,6 +552,7 @@ def simplify_model(
     attribute_names: Sequence[str],
     ridge: float = 0.0,
     nonnegative: Sequence[int] = (),
+    state: Optional[_NodeState] = None,
 ) -> LinearModel:
     """Greedily drop terms while the pessimistic error does not increase.
 
@@ -497,8 +561,9 @@ def simplify_model(
     adjusted error is no worse.  The constant (mean) model is always a
     candidate endpoint.  Only the final model is built as a
     :class:`LinearModel`; candidates are compared on their solves.
+    ``state`` is the node's shared state (see :func:`fit_linear_model`).
     """
-    state = _NodeState(X, y, ridge, nonnegative)
+    state = _node_state(state, X, y, ridge, nonnegative)
     indices = model.indices
     best_error = model.adjusted_error()
     best: Optional[_Fit] = None

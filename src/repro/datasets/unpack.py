@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._util import as_float_matrix
+from repro._util import as_float_matrix, as_float_vector
 from repro.datasets.dataset import Dataset
 from repro.errors import DataError
 
@@ -29,7 +29,7 @@ def unpack_training_data(
     if y is None:
         raise DataError("y is required when fitting from arrays")
     X = as_float_matrix(data)
-    targets = np.asarray(y, dtype=np.float64).ravel()
+    targets = as_float_vector(y)
     if X.shape[0] != targets.shape[0]:
         raise DataError("X and y disagree on instance count")
     if attribute_names is None:

@@ -134,3 +134,27 @@ class TestStats:
 
     def test_target_sd(self):
         assert small_dataset().target_sd() == pytest.approx(np.std([1, 2, 3]))
+
+
+class TestNonFiniteTargetsOnTheArrayPath:
+    """``(X, y, names)`` input checks ``y`` as a Dataset's ``y`` is checked."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_learner_rejects_it(self, bad):
+        from repro.baselines import BaggedM5, LinearRegressionBaseline
+        from repro.core.tree import M5Prime
+        from repro.datasets.synthetic import figure1_dataset
+        from repro.serve.refine import RefinedForest
+
+        data = figure1_dataset(n=80, noise_sd=0.05, rng=3)
+        y = data.y.copy()
+        y[5] = bad
+        forest = BaggedM5(n_estimators=2, min_instances=10, seed=1).fit(data)
+        fits = (
+            lambda: M5Prime(min_instances=10).fit(data.X, y, data.attributes),
+            lambda: LinearRegressionBaseline().fit(data.X, y, data.attributes),
+            lambda: RefinedForest(forest).fit(data.X, y),
+        )
+        for fit in fits:
+            with pytest.raises(DataError, match=r"^y contains NaN or infinite"):
+                fit()

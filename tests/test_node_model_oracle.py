@@ -1,10 +1,11 @@
 """The node-model primitives against their straight-line references.
 
-:mod:`repro.core.tree.linear` fits each node on one per-call state that
-computes column ranges, target moments and correlations once and runs
-ridge solves and correlations as stacked batches; the ``reference_*``
-functions in :mod:`repro.conformance.oracle` recompute everything for
-every refit, one subset and one pair at a time.  Every model field and
+:mod:`repro.core.tree.linear` fits each node on one node state that
+computes column ranges, target moments, centred rows and correlations
+once and runs ridge solves and correlations as stacked batches; the
+tree builder shares that state across a node's four calls.  The
+``reference_*`` functions in :mod:`repro.conformance.oracle` recompute
+everything for every refit, one subset and one pair at a time.  Every model field and
 every selected attribute list must match bit for bit.
 """
 
@@ -30,6 +31,7 @@ from repro.core.tree.linear import (
     select_uncorrelated,
     simplify_model,
 )
+from repro.errors import ConfigError
 from repro.experiments import ExperimentConfig, suite_dataset
 
 #: Correlations just either side of the two thresholds the tree uses.
@@ -107,18 +109,30 @@ def node_data(draw):
 
 def assert_pipeline_matches(X, y, candidates, names, ridge, nonnegative,
                             threshold, corr_threshold=0.75):
-    """Each primitive equals its reference, fed identical inputs."""
+    """Each primitive equals its reference, fed identical inputs.
+
+    Each call also runs on one node state shared by all of them, as the
+    tree builder runs a node, and must give the same bits.
+    """
+    shared = _NodeState(X, y, ridge, nonnegative)
     kept = select_uncorrelated(X, y, candidates, threshold)
     assert kept == reference_select_uncorrelated(X, y, candidates, threshold)
+    assert select_uncorrelated(X, y, candidates, threshold, state=shared) == kept
 
     model = fit_linear_model(X, y, kept, names, ridge, nonnegative)
     reference = reference_fit_linear_model(X, y, kept, names, ridge, nonnegative)
     assert model_bits(model) == model_bits(reference)
+    assert model_bits(
+        fit_linear_model(X, y, kept, names, ridge, nonnegative, state=shared)
+    ) == model_bits(model)
 
     simplified = simplify_model(model, X, y, names, ridge, nonnegative)
     assert model_bits(simplified) == model_bits(
         reference_simplify_model(model, X, y, names, ridge, nonnegative)
     )
+    assert model_bits(
+        simplify_model(model, X, y, names, ridge, nonnegative, state=shared)
+    ) == model_bits(simplified)
 
     # The unsimplified fit keeps the most opposed pairs to dissolve.
     for start in (model, simplified):
@@ -130,6 +144,9 @@ def assert_pipeline_matches(X, y, candidates, names, ridge, nonnegative,
                 start, X, y, names, ridge, corr_threshold, nonnegative
             )
         )
+        assert model_bits(resolve_opposed_pairs(
+            start, X, y, names, ridge, corr_threshold, nonnegative, state=shared
+        )) == model_bits(resolved)
 
 
 class TestPrimitivesMatchReference:
@@ -270,6 +287,39 @@ def counter_node(n, k, seed):
     return X, y
 
 
+#: Memory layouts of a node's X: C-ordered rows (what the builder passes),
+#: F-ordered, and a strided view of every other column of a wider matrix.
+LAYOUTS = ("C", "F", "view")
+
+
+def laid_out(X, layout):
+    """``X``'s values in the given memory layout."""
+    if layout == "F":
+        return np.asfortranarray(X)
+    if layout == "view":
+        wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+        wide[:, ::2] = X
+        return wide[:, ::2]
+    return np.ascontiguousarray(X)
+
+
+def in_each_layout(names, cases):
+    """Parametrize ``names`` and ``layout`` over ``cases`` times LAYOUTS.
+
+    The C-ordered cases keep the ids they had before the layout was a
+    parameter; the others append theirs.
+    """
+    params = []
+    for layout in LAYOUTS:
+        for case in cases:
+            values = case if isinstance(case, tuple) else (case,)
+            base = "-".join(str(value) for value in values)
+            params.append(pytest.param(
+                *values, layout, id=base if layout == "C" else f"{base}-{layout}"
+            ))
+    return pytest.mark.parametrize(f"{names}, layout", params)
+
+
 @pytest.fixture
 def stacked_calls(monkeypatch):
     """How many subsets each stacked ridge call of the test solved."""
@@ -289,7 +339,10 @@ class TestStackedPaths:
 
     ``node_data`` stays at n <= 40 and k <= 6, inside one block of the
     default :data:`~repro.core.tree.linear.STACK_BLOCK`; these cases reach
-    the shapes it never does.
+    the shapes it never does.  Each case runs with X in every layout of
+    :data:`LAYOUTS`: the stacks gather from the state's C-ordered rows,
+    and must reduce each column as the F-ordered ``X[:, cols]`` of a
+    standalone fit does, whatever layout X arrives in.
     """
 
     # (n, k): m = 1 (k = 2), pairwise-summation boundaries (8, 128 rows),
@@ -298,9 +351,10 @@ class TestStackedPaths:
     SHAPES = [(3, 2), (8, 2), (129, 2), (9, 3), (13, 6), (200, 6),
               (90, 20), (300, 20), (500, 12), (1500, 20)]
 
-    @pytest.mark.parametrize("n, k", SHAPES)
-    def test_drop_one_fits_match_standalone_fits(self, n, k, stacked_calls):
+    @in_each_layout("n, k", SHAPES)
+    def test_drop_one_fits_match_standalone_fits(self, n, k, layout, stacked_calls):
         X, y = counter_node(n, k, seed=n * 100 + k)
+        X = laid_out(X, layout)
         state = _NodeState(X, y, 1e-4)
         indices = tuple(range(k))
         stacked = state.drop_one_fits(indices)
@@ -310,9 +364,10 @@ class TestStackedPaths:
             assert fit_bits(fit) == fit_bits(state.fit(subset))
             assert fit_bits(fit) == reference_fit_bits(X, y, subset, 1e-4)
 
-    @pytest.mark.parametrize("block", [1, 7, 100])
-    def test_any_block_size_gives_the_same_bits(self, block, monkeypatch):
+    @in_each_layout("block", [1, 7, 100])
+    def test_any_block_size_gives_the_same_bits(self, block, layout, monkeypatch):
         X, y = counter_node(40, 8, seed=block)
+        X = laid_out(X, layout)
         indices = tuple(range(8))
         expected = [fit_bits(f) for f in _NodeState(X, y, 1e-4).drop_one_fits(indices)]
         monkeypatch.setattr(linear, "STACK_BLOCK", block)
@@ -323,19 +378,20 @@ class TestStackedPaths:
             b = y if j is None else X[:, j]
             assert float_bits(value) == float_bits(np.corrcoef(X[:, i], b)[0, 1])
 
-    @pytest.mark.parametrize("n", [2, 5, 13, 129, 1500])
-    def test_batch_of_one_matches_the_reference(self, n, stacked_calls):
+    @in_each_layout("n", [2, 5, 13, 129, 1500])
+    def test_batch_of_one_matches_the_reference(self, n, layout, stacked_calls):
         X, y = counter_node(n, 6, seed=n)
+        X = laid_out(X, layout)
         state = _NodeState(X, y, 1e-4)
         for size in range(1, min(6, n - 1) + 1):
             subset = tuple(range(6 - size, 6))
             assert fit_bits(state.fit(subset)) == reference_fit_bits(X, y, subset, 1e-4)
         assert set(stacked_calls) == {1}
 
-    @pytest.mark.parametrize(
-        "fallback", ["ridge0", "nonnegative", "constant", "saturated"]
-    )
-    def test_fallbacks_fit_each_subset_on_its_own(self, fallback, stacked_calls):
+    @in_each_layout("fallback", ["ridge0", "nonnegative", "constant", "saturated"])
+    def test_fallbacks_fit_each_subset_on_its_own(
+        self, fallback, layout, stacked_calls
+    ):
         n = 4 if fallback == "saturated" else 60
         X, y = counter_node(n, 6, seed=7)
         ridge, nonnegative = 1e-4, ()
@@ -345,6 +401,7 @@ class TestStackedPaths:
             nonnegative = (2,)
         elif fallback == "constant":
             X[:, 3] = 1.5
+        X = laid_out(X, layout)
         state = _NodeState(X, y, ridge, nonnegative)
         indices = tuple(range(6))  # saturated: k - 1 = 5 > n - 1 = 3
         for drop, fit in enumerate(state.drop_one_fits(indices)):
@@ -355,12 +412,11 @@ class TestStackedPaths:
     # One (q, q) Gram of all the centred rows agrees with np.corrcoef's
     # per-pair products for a handful of columns, but not from about a
     # dozen: k = 12 and 20 are what catch it.
-    @pytest.mark.parametrize(
-        "n, k", [(2, 3), (3, 4), (8, 12), (13, 20), (129, 12), (1500, 20)]
-    )
-    def test_batched_correlations_match_corrcoef(self, n, k):
+    @in_each_layout("n, k", [(2, 3), (3, 4), (8, 12), (13, 20), (129, 12), (1500, 20)])
+    def test_batched_correlations_match_corrcoef(self, n, k, layout):
         X, y = counter_node(n, k, seed=k)
         X[:, 1] = 3.0  # constant: the ptp guard answers 0.0
+        X = laid_out(X, layout)
         state = _NodeState(X, y)
         keys = (None, *range(k))
         pairs = [(i, j) for i in keys for j in keys if i != j]
@@ -373,9 +429,32 @@ class TestStackedPaths:
             )
             assert float_bits(state._correlations[i, j]) == float_bits(expected)
 
-    @pytest.mark.parametrize("n, k", [(90, 20), (1500, 20)])
-    def test_large_nodes_match_reference(self, n, k):
+    @in_each_layout("n, k", [(90, 20), (1500, 20)])
+    def test_large_nodes_match_reference(self, n, k, layout):
         X, y = counter_node(n, k, seed=3)
+        X = laid_out(X, layout)
         names = tuple(f"a{j}" for j in range(k))
         for ridge in (0.0, 1e-4):
             assert_pipeline_matches(X, y, list(range(k)), names, ridge, (), 0.95)
+
+
+class TestSharedState:
+    def test_state_for_another_solver_is_rejected(self):
+        X, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+        state = _NodeState(X, y, 1e-4, (1,))
+        with pytest.raises(ConfigError):
+            fit_linear_model(X, y, [0, 1], ("a", "b"), 0.0, (1,), state=state)
+        with pytest.raises(ConfigError):
+            fit_linear_model(X, y, [0, 1], ("a", "b"), 1e-4, (), state=state)
+        model = fit_linear_model(X, y, [0, 1], ("a", "b"), 1e-4, (1,), state=state)
+        with pytest.raises(ConfigError):
+            simplify_model(model, X, y, ("a", "b"), 1e-4, state=state)
+        with pytest.raises(ConfigError):
+            resolve_opposed_pairs(model, X, y, ("a", "b"), state=state)
+
+    def test_rows_are_c_ordered_for_every_input_layout(self):
+        X, y = counter_node(30, 5, seed=1)
+        for layout in LAYOUTS:
+            rows = _NodeState(laid_out(X, layout), y).rows
+            assert rows.flags.c_contiguous
+            assert np.array_equal(rows, np.vstack([X.T, y]))

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.tree.splitting import find_best_split
-from repro.errors import ConfigError
+from repro.core.tree import splitting
+from repro.core.tree.splitting import find_best_split, partition_order
+from repro.errors import ConfigError, DataError
 
 
 class TestFindBestSplit:
@@ -119,27 +122,86 @@ class TestAdjacentFloatValues:
 
 
 class TestChunkedScanEquivalence:
-    """Any chunk size must return the identical split (same tie-breaks)."""
+    """Any block width must return the identical split (same tie-breaks)."""
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 5, 32, 1000])
-    def test_chunk_size_does_not_change_result(self, rng, chunk_size):
+    def test_chunk_size_does_not_change_result(self, rng, chunk_size, monkeypatch):
         X = rng.normal(size=(80, 17))
         y = X[:, 3] * 2.0 + rng.normal(scale=0.2, size=80)
-        reference = find_best_split(X, y, min_leaf=5, chunk_size=1)
-        assert find_best_split(X, y, min_leaf=5, chunk_size=chunk_size) == reference
+        monkeypatch.setattr(splitting, "CHUNK_SIZE", 1)
+        reference = find_best_split(X, y, min_leaf=5)
+        monkeypatch.setattr(splitting, "CHUNK_SIZE", chunk_size)
+        assert find_best_split(X, y, min_leaf=5) == reference
 
-    def test_tied_attributes_resolve_to_lowest_index(self):
+    def test_tied_attributes_resolve_to_lowest_index(self, monkeypatch):
         # Two identical columns: identical SDR everywhere; the scan must
         # keep attribute 0 regardless of how columns are chunked.
         x = np.linspace(0.0, 1.0, 40)
         X = np.column_stack([x, x])
         y = (x > 0.5).astype(float)
         for chunk_size in (1, 2):
-            split = find_best_split(X, y, min_leaf=2, chunk_size=chunk_size)
+            monkeypatch.setattr(splitting, "CHUNK_SIZE", chunk_size)
+            split = find_best_split(X, y, min_leaf=2)
             assert split.attribute_index == 0
 
-    def test_invalid_chunk_size(self, rng):
+
+@st.composite
+def node_with_split(draw):
+    """A node with tied, constant and duplicated columns and rows, a mask."""
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Few distinct values, so ties are common.
+    X = rng.integers(0, draw(st.integers(1, 5)), size=(n, p)).astype(float)
+    for j in range(p):
+        kind = draw(st.sampled_from(["keep", "constant", "duplicate", "continuous"]))
+        if kind == "constant":
+            X[:, j] = 1.5
+        elif kind == "duplicate" and j:
+            X[:, j] = X[:, draw(st.integers(0, j - 1))]
+        elif kind == "continuous":
+            X[:, j] = rng.normal(size=n)
+    if draw(st.booleans()):
+        rows = rng.integers(0, n, size=n // 2)
+        X[rng.permutation(n)[: n // 2]] = X[rows]  # duplicated rows
+    y = rng.normal(size=n) if draw(st.booleans()) else X @ rng.normal(size=p)
+    go_left = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return X, y, go_left
+
+
+class TestPresortedOrder:
+    """The builder's per-node orders equal a fresh stable argsort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(node_with_split())
+    def test_partition_equals_child_argsort(self, node):
+        X, y, go_left = node
+        order = np.argsort(X, axis=0, kind="stable")
+        left, right = partition_order(order, go_left)
+        for child, mask in ((left, go_left), (right, ~go_left)):
+            expected = np.argsort(X[mask], axis=0, kind="stable")
+            assert child.shape == expected.shape
+            assert np.array_equal(child, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(node_with_split(), st.sampled_from([1, 2, 3, 5]))
+    def test_split_from_order_equals_sorted_split(self, node, min_leaf):
+        X, y, go_left = node
+        order = np.argsort(X, axis=0, kind="stable")
+        assert find_best_split(X, y, min_leaf, order=order) == find_best_split(
+            X, y, min_leaf
+        )
+        left, right = partition_order(order, go_left)
+        for mask, child in ((go_left, left), (~go_left, right)):
+            assert find_best_split(X[mask], y[mask], min_leaf, order=child) == (
+                find_best_split(X[mask], y[mask], min_leaf)
+            )
+
+    def test_order_of_another_shape_is_rejected(self, rng):
         X = rng.normal(size=(20, 3))
         y = rng.normal(size=20)
-        with pytest.raises(ConfigError):
-            find_best_split(X, y, chunk_size=0)
+        order = np.argsort(X, axis=0, kind="stable")
+        with pytest.raises(DataError, match="shape"):
+            find_best_split(X, y, order=order[:, :2])
+        with pytest.raises(DataError, match="shape"):
+            find_best_split(X, y, order=order[:10])
