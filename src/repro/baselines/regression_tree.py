@@ -15,7 +15,7 @@ import numpy as np
 from repro.baselines.base import RegressorBase
 from repro.core.tree.linear import adjusted_error
 from repro.core.tree.node import LeafNode, Node, SplitNode, assign_leaf_ids, route
-from repro.core.tree.splitting import find_best_split
+from repro.core.tree.splitting import find_best_split, partition_order
 from repro.errors import ConfigError, NotFittedError
 
 
@@ -49,22 +49,27 @@ class RegressionTree(RegressorBase):
     # ------------------------------------------------------------------
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self._global_sd = float(np.std(y))
-        root = self._grow(X, y)
+        # Sorted once; each child's order is a stable partition of its
+        # parent's, as in TreeBuilder.build.
+        order = np.argsort(X.T, axis=1, kind="stable").T
+        root = self._grow(X, y, order)
         if self.prune:
             root = self._prune(root)[0]
         assign_leaf_ids(root)
         self.root_ = root
 
-    def _grow(self, X: np.ndarray, y: np.ndarray) -> Node:
+    def _grow(self, X: np.ndarray, y: np.ndarray, order: np.ndarray) -> Node:
+        """``order`` is ``np.argsort(X, axis=0, kind="stable")``."""
         n = y.shape[0]
         sd = float(np.std(y))
         mean = float(np.mean(y))
         split = None
         if n >= 2 * self.min_instances and sd > self.sd_fraction * self._global_sd:
-            split = find_best_split(X, y, min_leaf=self.min_instances)
+            split = find_best_split(X, y, min_leaf=self.min_instances, order=order)
         if split is None:
             return LeafNode(n, sd, mean)
         go_left = X[:, split.attribute_index] <= split.threshold
+        left_order, right_order = partition_order(order, go_left)
         return SplitNode(
             n_instances=n,
             sd=sd,
@@ -72,8 +77,8 @@ class RegressionTree(RegressorBase):
             attribute_index=split.attribute_index,
             attribute_name=self.attributes_[split.attribute_index],
             threshold=split.threshold,
-            left=self._grow(X[go_left], y[go_left]),
-            right=self._grow(X[~go_left], y[~go_left]),
+            left=self._grow(X[go_left], y[go_left], left_order),
+            right=self._grow(X[~go_left], y[~go_left], right_order),
         )
 
     def _prune(self, node: Node):

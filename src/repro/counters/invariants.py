@@ -7,7 +7,7 @@ retired DTLB load miss is a subset of all DTLB load misses; mix counts
 cannot exceed retired instructions) and are checked by the collection
 tests — and available to users vetting imported datasets.
 
-Two granularities share one declarative rule table:
+Three granularities share one declarative rule table:
 
 * :func:`check_invariants` — one raw count snapshot (a name -> value
   mapping), the original per-section entry point.
@@ -15,6 +15,10 @@ Two granularities share one declarative rule table:
   violating row indices.  This is what the collection tests and the
   dataset lint rules (:mod:`repro.lint`) use, and
   :func:`check_invariants` is now a one-row wrapper around it.
+* :class:`InvariantTable` — the rules compiled once against a column
+  order, counting violating rows per rule in each matrix it is given,
+  as the serving drift monitor does for every scored batch.
+  :func:`check_dataset` is its reference.
 
 Because the same comparisons run on raw counts (magnitudes in the
 thousands) and on per-instruction ratios (magnitudes near 1e-6..1), the
@@ -358,6 +362,65 @@ def check_dataset(
                     )
                 )
     return violations
+
+
+class InvariantTable:
+    """A rule table compiled against one column order, for repeated checks.
+
+    :func:`check_dataset` resolves names and sums columns one rule at a
+    time, which suits a one-off dataset check.  A server checking every
+    batch against the same rules compiles them once: each side of each
+    rule becomes a column of an index table, padded with (and with
+    absent names mapped to) an all-zero column, so a batch is checked
+    in a few array operations whatever the number of rules.  Each side
+    is summed term by term in the rule's own order, as
+    :func:`check_dataset` sums it, with the same tolerance, so
+    :meth:`count` flags exactly the rows it flags (negativity aside).
+
+    Args:
+        invariants: The rules, in reporting order.
+        columns: Column names of the matrices :meth:`count` receives.
+    """
+
+    def __init__(
+        self, invariants: Sequence[Invariant], columns: Sequence[str]
+    ) -> None:
+        self.invariants: Tuple[Invariant, ...] = tuple(invariants)
+        self._width = len(columns)
+        index = {str(name): i for i, name in enumerate(columns)}
+
+        def table(sides: List[Tuple[str, ...]]) -> np.ndarray:
+            depth = max([len(names) for names in sides] + [1])
+            terms = np.full((depth, len(sides)), self._width, dtype=np.intp)
+            for rule, names in enumerate(sides):
+                for position, name in enumerate(names):
+                    terms[position, rule] = index.get(name, self._width)
+            return terms
+
+        self._lhs = table([inv.lhs for inv in self.invariants])
+        self._rhs = table([inv.rhs for inv in self.invariants])
+        self._bound = np.array([inv.bound for inv in self.invariants])
+        positive = np.array([inv.kind == "positive" for inv in self.invariants])
+        self._positive = positive if positive.any() else None
+
+    def count(self, X: np.ndarray) -> np.ndarray:
+        """Rows of ``X`` (shape ``(n, len(columns))``) violating each rule."""
+        padded = np.zeros((X.shape[0], self._width + 1))
+        padded[:, :self._width] = X
+        lhs = _sum_terms(padded[:, self._lhs])
+        rhs = _sum_terms(padded[:, self._rhs]) + self._bound
+        bad = lhs > rhs + _EPS * np.maximum(1.0, np.abs(rhs))
+        if self._positive is not None:
+            bad = np.where(self._positive, ~(lhs > 0), bad)
+        return np.count_nonzero(bad, axis=0)
+
+
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """Sum ``(n, depth, rules)`` terms over ``depth``, first to last."""
+    total = terms[:, 0]
+    for position in range(1, terms.shape[1]):
+        total = total + terms[:, position]
+    return total
 
 
 def check_invariants(counts: CountMap) -> List[str]:

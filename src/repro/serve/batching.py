@@ -2,14 +2,17 @@
 
 The compiled predictor's fixed cost (routing setup, per-leaf grouping)
 amortizes over rows, so a server handling many concurrent single-section
-requests wants to score them together.  :class:`BatchQueue` runs one
-consumer thread that takes the first request together with whatever is
-already queued behind it — up to ``max_batch`` rows — evaluates once,
-and scatters results back to the waiting handler threads.  Batches form
-from contention: requests that arrive while the evaluator is busy queue
-up and leave together in the next batch.  Nothing is held open waiting
-for stragglers, so a lone request never pays for a batch that does not
-come.
+requests wants to score them together.  :class:`BatchQueue` has no
+thread of its own; it is leader/follower.  A :meth:`~BatchQueue.submit`
+that finds no evaluation running leads: on its own thread it takes its
+request together with whatever is queued behind it — up to
+``max_batch`` rows — evaluates once, and scatters results back to the
+waiting handler threads.  When that batch finishes, the thread of the
+oldest request still queued leads the next one.  Batches form from
+contention: requests that arrive while an evaluation runs queue up and
+leave together in the next batch.  Nothing is held open waiting for
+stragglers, and a lone request is scored on the thread that received
+it, without a hand-off.
 
 Deadlines follow the :class:`~repro.resilience.RunPolicy` timeout
 semantics: a request carries a wall-clock budget, a request still queued
@@ -20,11 +23,11 @@ and an expired request never consumes evaluator time.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
@@ -32,27 +35,43 @@ from repro.errors import ConfigError, ServeError, TaskTimeoutError
 
 __all__ = ["BatchQueue"]
 
+#: How long past its budget a caller still waits for a result that is
+#: being computed before giving up with a timeout.
+_GRACE_S = 0.05
 
-@dataclass
+
+@dataclass(eq=False)
 class _Pending:
-    """One enqueued request and its rendezvous state."""
+    """One submitted request and its rendezvous state.
+
+    ``wake`` is set when the request is done (``result`` or ``error``)
+    or when it is promoted to lead the next batch (``lead``).  ``queued``
+    and ``lead`` change only under the queue's lock.
+    """
 
     rows: np.ndarray
     deadline: Optional[float]
-    done: threading.Event = field(default_factory=threading.Event)
+    wake: threading.Event = field(default_factory=threading.Event)
+    queued: bool = True
+    lead: bool = False
     result: Optional[np.ndarray] = None
     error: Optional[BaseException] = None
 
-    def expired(self, now: float) -> bool:
-        return self.deadline is not None and now > self.deadline
+    def expired(self, now: float, grace: float = 0.0) -> bool:
+        return self.deadline is not None and now > self.deadline + grace
 
 
 class BatchQueue:
     """Coalesce concurrent predict calls into batched evaluations.
 
+    At most one evaluation runs at a time, on the thread of one of the
+    requests it scores.
+
     Args:
-        evaluate: Batch evaluator, ``(n, d) array -> (n,) array``.
-        max_batch: Row budget per evaluation.
+        evaluate: Batch evaluator, ``(n, d) array -> (n, ...) array``;
+            each caller receives its own rows of the result.
+        max_batch: Row budget per evaluation; a single request larger
+            than the budget is evaluated alone.
         observe_batch: Optional callback receiving each evaluated batch's
             row count (feeds the batch-size histogram).
     """
@@ -68,35 +87,33 @@ class BatchQueue:
         self.evaluate = evaluate
         self.max_batch = int(max_batch)
         self.observe_batch = observe_batch
-        self._queue: "queue.Queue[_Pending]" = queue.Queue()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._lock = threading.Lock()
+        self._waiting: Deque[_Pending] = deque()
+        # True from a batch's start until the lead finds the queue empty,
+        # across hand-offs; while it is false the queue is empty.
+        self._leading = False
+        self._running = False
 
     # ------------------------------------------------------------------
     def start(self) -> "BatchQueue":
-        if self._thread is not None:
-            raise ServeError("batch queue already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-batcher", daemon=True
-        )
-        self._thread.start()
+        with self._lock:
+            if self._running:
+                raise ServeError("batch queue already started")
+            self._running = True
         return self
 
-    def stop(self, drain_timeout: float = 2.0) -> None:
-        """Stop the consumer; queued requests fail fast with ServeError."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=drain_timeout)
-            self._thread = None
-        while True:
-            try:
-                pending = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            pending.error = ServeError("server shutting down")
-            pending.done.set()
+    def stop(self) -> None:
+        """Refuse new requests; queued ones fail fast with ServeError.
+
+        A batch already evaluating finishes on its leader's thread.
+        """
+        with self._lock:
+            self._running = False
+            while self._waiting:
+                pending = self._waiting.popleft()
+                pending.queued = False
+                pending.error = ServeError("server shutting down")
+                pending.wake.set()
 
     # ------------------------------------------------------------------
     def submit(
@@ -110,72 +127,104 @@ class BatchQueue:
             ServeError: The queue is stopped.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        if self._thread is None:
-            raise ServeError("batch queue is not running")
         deadline = None if timeout is None else time.monotonic() + timeout
         pending = _Pending(rows=rows, deadline=deadline)
-        self._queue.put(pending)
-        wait = None if timeout is None else timeout + 0.05
-        if not pending.done.wait(timeout=wait):
-            raise TaskTimeoutError(
-                f"predict request exceeded its {timeout:.3g}s budget"
-            )
+        with self._lock:
+            if not self._running:
+                raise ServeError("batch queue is not running")
+            self._waiting.append(pending)
+            pending.lead = not self._leading
+            self._leading = True
+        if not pending.lead:
+            wait = None if timeout is None else timeout + _GRACE_S
+            if not pending.wake.wait(timeout=wait):
+                with self._lock:
+                    if pending.queued and not pending.lead:
+                        # Leave the queue, so no hand-off can pick a
+                        # thread that has stopped waiting.
+                        self._waiting.remove(pending)
+                        pending.queued = False
+                    late = not (pending.lead or pending.wake.is_set())
+                if late:
+                    raise TaskTimeoutError(
+                        f"predict request exceeded its {timeout:.3g}s budget"
+                    )
+        if pending.lead:
+            self._lead()
+            if pending.error is None and pending.expired(
+                time.monotonic(), _GRACE_S
+            ):
+                raise TaskTimeoutError(
+                    f"predict request exceeded its {timeout:.3g}s budget"
+                )
         if pending.error is not None:
             raise pending.error
         assert pending.result is not None
         return pending.result
 
     # ------------------------------------------------------------------
-    def _collect(self) -> List[_Pending]:
-        """Block for the first request, then take what is already queued."""
-        try:
-            first = self._queue.get(timeout=0.05)
-        except queue.Empty:
-            return []
-        batch = [first]
-        n_rows = first.rows.shape[0]
-        while n_rows < self.max_batch:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            batch.append(item)
-            n_rows += item.rows.shape[0]
-        return batch
+    def _take_batch(self) -> List[_Pending]:
+        """Dequeue the oldest live request and those behind it that fit.
 
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            batch = self._collect()
-            if not batch:
-                continue
-            now = time.monotonic()
-            live: List[_Pending] = []
-            for pending in batch:
-                if pending.expired(now):
-                    pending.error = TaskTimeoutError(
+        Requests whose budget has expired fail here and never reach the
+        evaluator.  The first live request is taken whatever its size;
+        the rest only while the batch stays within ``max_batch`` rows.
+        """
+        now = time.monotonic()
+        batch: List[_Pending] = []
+        n_rows = 0
+        with self._lock:
+            while self._waiting:
+                head = self._waiting[0]
+                expired = head.expired(now)
+                if not expired and batch and (
+                    n_rows + head.rows.shape[0] > self.max_batch
+                ):
+                    break
+                self._waiting.popleft()
+                head.queued = False
+                if expired:
+                    head.error = TaskTimeoutError(
                         "predict request expired while queued"
                     )
-                    pending.done.set()
+                    head.wake.set()
                 else:
-                    live.append(pending)
-            if not live:
-                continue
+                    batch.append(head)
+                    n_rows += head.rows.shape[0]
+        return batch
+
+    def _lead(self) -> None:
+        """Evaluate one batch on this thread, then hand off the lead."""
+        try:
+            batch = self._take_batch()
+            if batch:
+                self._evaluate(batch)
+        finally:
+            with self._lock:
+                if self._waiting:
+                    head = self._waiting[0]
+                    head.lead = True
+                    head.wake.set()
+                else:
+                    self._leading = False
+
+    def _evaluate(self, batch: List[_Pending]) -> None:
+        try:
             stacked = (
-                live[0].rows if len(live) == 1
-                else np.vstack([p.rows for p in live])
+                batch[0].rows if len(batch) == 1
+                else np.vstack([p.rows for p in batch])
             )
             if self.observe_batch is not None:
                 self.observe_batch(int(stacked.shape[0]))
-            try:
-                results = self.evaluate(stacked)
-            except BaseException as exc:  # noqa: BLE001 — routed to callers
-                for pending in live:
-                    pending.error = exc
-                    pending.done.set()
-                continue
-            offset = 0
-            for pending in live:
-                n = pending.rows.shape[0]
-                pending.result = np.asarray(results)[offset:offset + n]
-                offset += n
-                pending.done.set()
+            results = np.asarray(self.evaluate(stacked))
+        except BaseException as exc:  # noqa: BLE001 — routed to callers
+            for pending in batch:
+                pending.error = exc
+                pending.wake.set()
+            return
+        offset = 0
+        for pending in batch:
+            n = pending.rows.shape[0]
+            pending.result = results[offset:offset + n]
+            offset += n
+            pending.wake.set()

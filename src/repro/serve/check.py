@@ -228,7 +228,7 @@ def preflight(
                 "drift", True,
                 f"{record.spec}: range monitoring armed for "
                 f"{len(monitor.attributes)} features, "
-                f"{len(monitor._invariants)} invariant(s) applicable"
+                f"{len(monitor._invariants.invariants)} invariant(s) applicable"
             ))
         else:
             results.append(CheckResult(

@@ -268,17 +268,23 @@ class CompiledArena:
         ancestor model walking parent pointers to the root:
         ``p = (n_below * p + k * q) / (n_below + k)``.
         """
+        return self._predict_trees(X, smoothing_k)[0]
+
+    def _predict_trees(
+        self, X: np.ndarray, smoothing_k: Optional[float]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`predict_trees` and the :meth:`route` it evaluated."""
         if smoothing_k is not None and smoothing_k < 0:
             raise ConfigError(
                 f"smoothing constant k must be non-negative, got {smoothing_k}"
             )
         X = np.asarray(X, dtype=np.float64)
-        self._check_width(X)
+        nodes = self.route(X)
         n = X.shape[0]
         out = np.empty((self.n_trees, n))
         if n == 0:
-            return out
-        flat = self.route(X).ravel()
+            return out, nodes
+        flat = nodes.ravel()
         # Group (row, tree) pairs by destination leaf via one stable
         # argsort; within each run the positions come out in increasing
         # flat order, exactly as a per-leaf ``flatnonzero`` scan would
@@ -316,7 +322,7 @@ class CompiledArena:
                     below = ancestor
                     ancestor = int(self.parent[below])
             out[trees, rows] = group
-        return out
+        return out, nodes
 
     def predict(
         self, X: np.ndarray, smoothing_k: Optional[float] = None
@@ -331,8 +337,21 @@ class CompiledArena:
         (and, for one tree, to the interpreted walk), without the
         reduction's dispatch overhead.
         """
-        per_tree = self.predict_trees(X, smoothing_k=smoothing_k)
-        return np.add.reduce(per_tree, axis=0) / self.n_trees
+        return self.predict_routed(X, smoothing_k=smoothing_k)[0]
+
+    def predict_routed(
+        self, X: np.ndarray, smoothing_k: Optional[float] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`predict` together with the :meth:`route` it evaluated.
+
+        Returns ``(predictions, nodes)``, the ``(n_rows,)`` predictions
+        and the ``(n_rows, n_trees)`` leaf-node indices of that one
+        route, so a caller that also needs leaf ids reads them from the
+        route instead of routing again: ``leaf_id[nodes[:, 0]]`` is
+        :meth:`leaf_ids`.
+        """
+        per_tree, nodes = self._predict_trees(X, smoothing_k)
+        return np.add.reduce(per_tree, axis=0) / self.n_trees, nodes
 
     # ------------------------------------------------------------------
     def leaf_summary(self, column: int) -> Dict[str, Any]:

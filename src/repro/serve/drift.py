@@ -17,6 +17,10 @@ produces:
 * **Invariant violations** — rows breaking the Table I event hierarchy
   (:data:`repro.counters.invariants.METRIC_INVARIANTS`), the signature
   of corrupt or mislabeled counter feeds rather than workload change.
+  The rules the model's columns can express are compiled once into an
+  :class:`~repro.counters.invariants.InvariantTable`, which counts per
+  batch exactly the rows
+  :func:`~repro.counters.invariants.check_dataset` flags.
 * **Out-of-bounds predictions** — outputs escaping the interval the
   static verifier certified at publish time
   (:mod:`repro.verify`).  A certified model *cannot* produce such a
@@ -38,8 +42,8 @@ import numpy as np
 from repro.core.tree.m5 import M5Prime
 from repro.counters.invariants import (
     METRIC_INVARIANTS,
+    InvariantTable,
     applicable_invariants,
-    check_dataset,
 )
 
 __all__ = ["DriftMonitor", "DriftSnapshot"]
@@ -84,8 +88,9 @@ class DriftMonitor:
         self.out_of_bounds_predictions = 0
         self.out_of_range: Dict[str, int] = {}
         self.violations: Dict[str, int] = {}
-        self._invariants = applicable_invariants(
-            METRIC_INVARIANTS, self.attributes
+        self._invariants = InvariantTable(
+            applicable_invariants(METRIC_INVARIANTS, self.attributes),
+            self.attributes,
         )
         if model.feature_ranges_ is not None:
             self._low = np.array([low for low, _ in model.feature_ranges_])
@@ -108,31 +113,27 @@ class DriftMonitor:
         # NaN/inf would compare false against every range bound and
         # poison the invariant sums; count the rows explicitly.
         nonfinite_rows = int(np.count_nonzero(~np.isfinite(X).all(axis=1)))
-        range_counts: Optional[np.ndarray] = None
+        out_of_range: List[Tuple[str, int]] = []
         if self._low is not None:
-            outside = (X < self._low) | (X > self._high)
-            range_counts = outside.sum(axis=0)
-        columns = {
-            name: X[:, index] for index, name in enumerate(self.attributes)
-        }
-        found = check_dataset(
-            columns, self._invariants, check_negative=False
-        )
+            outside = np.count_nonzero(
+                (X < self._low) | (X > self._high), axis=0
+            )
+            out_of_range = [
+                (self.attributes[i], int(outside[i]))
+                for i in np.flatnonzero(outside)
+            ]
+        violated = self._invariants.count(X)
+        violations = [
+            (self._invariants.invariants[i].name, int(violated[i]))
+            for i in np.flatnonzero(violated)
+        ]
         with self._lock:
             self.rows_seen += int(X.shape[0])
             self.nan_inputs += nonfinite_rows
-            if range_counts is not None:
-                for index, count in enumerate(range_counts):
-                    if count:
-                        name = self.attributes[index]
-                        self.out_of_range[name] = (
-                            self.out_of_range.get(name, 0) + int(count)
-                        )
-            for violation in found:
-                self.violations[violation.invariant] = (
-                    self.violations.get(violation.invariant, 0)
-                    + violation.n_rows
-                )
+            for name, count in out_of_range:
+                self.out_of_range[name] = self.out_of_range.get(name, 0) + count
+            for name, count in violations:
+                self.violations[name] = self.violations.get(name, 0) + count
 
     def observe_predictions(self, predictions: np.ndarray) -> None:
         """Check a batch of model outputs against the certified bound.

@@ -2,10 +2,10 @@
 
 Implements just the slice of the exposition format (version 0.0.4) the
 ``/metrics`` endpoint needs — counters, gauges, and cumulative
-histograms with labels — with one lock per registry so handler threads
-and the batching thread can record concurrently.  Stdlib-only on
-purpose: the serving stack must not grow dependencies the training
-stack does not have.
+histograms with labels — with one lock per registry so request handler
+threads, including the one leading a coalesced batch, can record
+concurrently.  Stdlib-only on purpose: the serving stack must not grow
+dependencies the training stack does not have.
 
 Conventions follow the Prometheus client guidelines: counters end in
 ``_total``, histogram buckets are cumulative with a ``+Inf`` terminal,

@@ -80,6 +80,9 @@ __all__ = ["ModelServer", "SCHEMA", "ServeHTTPServer", "ServeRequestHandler"]
 #: Envelope identity on every JSON response; bump on breaking changes.
 SCHEMA = "repro-serve/1"
 
+#: One scored row of a single tree: its prediction and LM number.
+_SCORED = np.dtype([("prediction", np.float64), ("leaf_id", np.int64)])
+
 
 class ServeHTTPServer(ThreadingHTTPServer):
     """The listening server of both HTTP surfaces.
@@ -331,11 +334,19 @@ class ModelServer:
                 drift.observe_predictions(predictions)
                 return predictions
         else:
+            # Predictions and LM numbers from one route, returned per
+            # batch: the arena is shared with /explain and must not
+            # carry a batch's state.
             def evaluate(X: np.ndarray) -> np.ndarray:
                 drift.observe(X)
-                predictions = compiled.predict(X, smoothing_k=smoothing_k)
+                predictions, nodes = compiled.predict_routed(
+                    X, smoothing_k=smoothing_k
+                )
                 drift.observe_predictions(predictions)
-                return predictions
+                scored = np.empty(X.shape[0], dtype=_SCORED)
+                scored["prediction"] = predictions
+                scored["leaf_id"] = compiled.leaf_id[nodes[:, 0]]
+                return scored
 
         queue = BatchQueue(
             evaluate,
@@ -463,20 +474,20 @@ class ModelServer:
     def handle_predict(self, payload: Dict) -> Dict:
         served = self.get_model(_optional_str(payload, "model"))
         X, single = _sections_matrix(payload, served.model)
-        predictions = served.queue.submit(X, timeout=self.task_timeout)
+        scored = served.queue.submit(X, timeout=self.task_timeout)
         document = {
             "schema": SCHEMA,
             "model": served.label,
             "n": int(X.shape[0]),
             "single": single,
-            "predictions": [float(p) for p in predictions],
         }
         if served.is_forest:
+            document["predictions"] = scored.tolist()
             document["n_trees"] = len(served.model.estimators_)
             document["refined"] = served.model.refined_ is not None
         else:
-            leaf_ids = served.model.compiled_.leaf_ids(X)
-            document["leaf_ids"] = [int(i) for i in leaf_ids]
+            document["predictions"] = scored["prediction"].tolist()
+            document["leaf_ids"] = scored["leaf_id"].tolist()
         return document
 
     def handle_explain(self, payload: Dict) -> Dict:

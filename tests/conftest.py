@@ -81,6 +81,16 @@ def suite_tree(suite_dataset):
 
 
 @pytest.fixture(scope="session")
+def quick_dataset(tmp_path_factory):
+    """The quick-preset suite dataset (shared, read-only)."""
+    from repro.experiments import ExperimentConfig, suite_dataset
+
+    return suite_dataset(
+        ExperimentConfig.quick(), cache_dir=tmp_path_factory.mktemp("cache")
+    )
+
+
+@pytest.fixture(scope="session")
 def fast_profiles():
     """Two tiny single-phase workloads for fast-engine tests.
 

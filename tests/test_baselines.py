@@ -13,6 +13,7 @@ from repro.baselines import (
     default_penalty_table,
 )
 from repro.baselines.base import Standardizer
+from repro.core.tree.splitting import find_best_split
 from repro.datasets.synthetic import (
     figure1_dataset,
     interaction_dataset,
@@ -117,6 +118,31 @@ class TestRegressionTree:
         pruned = RegressionTree(min_instances=10, prune=True).fit(ds)
         unpruned = RegressionTree(min_instances=10, prune=False).fit(ds)
         assert pruned.n_leaves <= unpruned.n_leaves
+
+    def test_presorted_growth_matches_per_node_search(self, quick_dataset):
+        """Each split of a quick-suite fit, grown on presorted orders, is
+        the split a fresh per-node search picks, and each leaf that met
+        the growth rule had none."""
+        model = RegressionTree(min_instances=6, prune=False).fit(quick_dataset)
+        X, y = quick_dataset.X, quick_dataset.y
+        floor = model.sd_fraction * float(np.std(y))
+        pending = [(model.root_, np.arange(len(y)))]
+        n_splits = 0
+        while pending:
+            node, rows = pending.pop()
+            grows = len(rows) >= 12 and float(np.std(y[rows])) > floor
+            split = find_best_split(X[rows], y[rows], 6) if grows else None
+            if node.is_leaf:
+                assert split is None
+                continue
+            assert split is not None
+            assert (split.attribute_index, split.threshold) == (
+                node.attribute_index, node.threshold
+            )
+            go_left = X[rows, node.attribute_index] <= node.threshold
+            pending += [(node.left, rows[go_left]), (node.right, rows[~go_left])]
+            n_splits += 1
+        assert n_splits > 50
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):

@@ -32,7 +32,6 @@ from repro.core.tree.linear import (
     simplify_model,
 )
 from repro.errors import ConfigError
-from repro.experiments import ExperimentConfig, suite_dataset
 
 #: Correlations just either side of the two thresholds the tree uses.
 NEAR_CORRELATIONS = (0.945, 0.955, 0.745, 0.755, -0.945, -0.955, -0.745, -0.755)
@@ -179,11 +178,8 @@ class TestPrimitivesMatchReference:
 
 
 @pytest.fixture(scope="module")
-def quick_suite_nodes(tmp_path_factory):
+def quick_suite_nodes(quick_dataset):
     """Every node's model inputs from a quick-suite fit at min_instances=6."""
-    dataset = suite_dataset(
-        ExperimentConfig.quick(), cache_dir=tmp_path_factory.mktemp("cache")
-    )
     nodes = []
     original = TreeBuilder._fit_model
 
@@ -193,7 +189,7 @@ def quick_suite_nodes(tmp_path_factory):
 
     TreeBuilder._fit_model = recording
     try:
-        M5Prime(min_instances=6).fit(dataset)
+        M5Prime(min_instances=6).fit(quick_dataset)
     finally:
         TreeBuilder._fit_model = original
     return nodes

@@ -67,6 +67,11 @@ class TestBitIdentity:
             per_tree = compiled.predict_trees(probes, smoothing_k=k)
             assert np.array_equal(per_tree[0], want)
             assert np.array_equal(compiled.predict(probes, smoothing_k=k), want)
+            # The server's one route per batch: the same predictions and
+            # the route leaf ids are read from.
+            predictions, nodes = compiled.predict_routed(probes, smoothing_k=k)
+            assert np.array_equal(predictions, want)
+            assert np.array_equal(nodes, compiled.route(probes))
 
     @settings(max_examples=30, deadline=None)
     @given(fitted_models())
@@ -172,3 +177,5 @@ class TestCompiledErrors:
         X = np.empty((0, len(figure1_tree.attributes_)))
         assert figure1_tree.compiled_.predict(X).shape == (0,)
         assert figure1_tree.compiled_.leaf_ids(X).shape == (0,)
+        predictions, nodes = figure1_tree.compiled_.predict_routed(X)
+        assert predictions.shape == (0,) and nodes.shape == (0, 1)

@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.tree import M5Prime
+from repro.counters import ALL_EVENTS, PREDICTOR_NAMES
+from repro.counters.invariants import (
+    METRIC_INVARIANTS,
+    RAW_COUNT_INVARIANTS,
+    InvariantTable,
+    applicable_invariants,
+    check_dataset,
+)
 from repro.errors import ConfigError
 from repro.serve.check import preflight, render_preflight
 from repro.serve.drift import DriftMonitor
@@ -210,8 +220,118 @@ class TestDriftMonitorConcurrency:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
         snapshot = monitor.snapshot()
         expected = n_threads * n_batches * rows.shape[0]
         assert snapshot["rows_seen"] == expected
         assert snapshot["predictions_seen"] == expected
+
+
+#: Values that sit on the tolerance edges (a rule's threshold is
+#: ``rhs + 1e-6 * max(1, |rhs|)``; adding a few 1.2e-16 to it rounds
+#: differently in different orders), tie with each other, or are
+#: non-finite or negative, mixed with arbitrary floats.
+_EDGE_VALUES = (
+    0.0, -0.0, 6e-17, 1.2e-16, 1e-6, 0.1, 0.2, 0.3, 0.5, 0.5 + 1e-6,
+    1.0, 1.0 + 1e-6, 2.0, -1e-9, -1.0, np.nan, np.inf, -np.inf,
+)
+_VALUES = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _batch(draw, names):
+    """A column subset of ``names`` (in drawn order) and rows over it."""
+    columns = draw(st.lists(
+        st.sampled_from(names), min_size=1, max_size=len(names), unique=True,
+    ))
+    n_rows = draw(st.integers(1, 12))
+    cells = draw(st.lists(
+        _VALUES, min_size=n_rows * len(columns),
+        max_size=n_rows * len(columns),
+    ))
+    return columns, np.array(cells, dtype=np.float64).reshape(
+        n_rows, len(columns)
+    )
+
+
+class TestDriftMonitorOracle:
+    """The compiled drift check against ``check_dataset``, its reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=_batch(PREDICTOR_NAMES + ("Extra",)),
+        ranges=st.none() | st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+            min_size=len(PREDICTOR_NAMES) + 1,
+            max_size=len(PREDICTOR_NAMES) + 1,
+        ),
+        cut=st.integers(0, 12),
+    )
+    # The instruction mix sums to the rule's threshold left to right but
+    # one ulp above it right to left: only the rule's own order agrees.
+    @example(
+        batch=(["InstLd", "InstSt", "BrMisPr", "BrPred", "InstOther"],
+               np.array([[1.0 + 1e-6, 6e-17, 6e-17, 0.0, 0.0]])),
+        ranges=None, cut=0,
+    )
+    def test_observe_counts_match_check_dataset(self, batch, ranges, cut):
+        names, X = batch
+        model = M5Prime()
+        model.attributes_ = list(names)
+        if ranges is not None:
+            # Zero spans (low == high) take the other slack branch.
+            ranges = [(low, low + span * (span > 0.5))
+                      for low, span in ranges[:len(names)]]
+        model.feature_ranges_ = ranges
+        monitor = DriftMonitor(model, range_slack=0.1)
+        rules = applicable_invariants(METRIC_INVARIANTS, names)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # Two batches: the counters accumulate.
+            monitor.observe(X[:cut])
+            monitor.observe(X[cut:])
+            found = check_dataset(
+                {name: X[:, i] for i, name in enumerate(names)},
+                rules, check_negative=False,
+            )
+        snapshot = monitor.snapshot()
+        assert snapshot["invariant_violations"] == {
+            v.invariant: v.n_rows for v in found
+        }
+        assert snapshot["nan_inputs"] == sum(
+            not all(np.isfinite(value) for value in row) for row in X
+        )
+        expected_range = {}
+        for i, name in enumerate(names if ranges is not None else ()):
+            low, high = ranges[i]
+            span = high - low
+            margin = 0.1 * (span if span > 0 else max(abs(high), 1.0))
+            count = sum(
+                value < low - margin or value > high + margin
+                for value in X[:, i]
+            )
+            if count:
+                expected_range[name] = count
+        assert snapshot["out_of_range"] == expected_range
+        assert snapshot["rows_seen"] == X.shape[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=_batch(tuple(event.name for event in ALL_EVENTS)))
+    def test_table_matches_check_dataset_on_raw_counts(self, batch):
+        # Raw rules include "positive" ones, and absent columns read as
+        # zero on both sides, as check_dataset reads them.
+        names, X = batch
+        with np.errstate(invalid="ignore", over="ignore"):
+            found = check_dataset(
+                {name: X[:, i] for i, name in enumerate(names)},
+                RAW_COUNT_INVARIANTS, check_negative=False,
+            )
+            counts = InvariantTable(RAW_COUNT_INVARIANTS, names).count(X)
+        assert {
+            inv.name: int(count)
+            for inv, count in zip(RAW_COUNT_INVARIANTS, counts) if count
+        } == {v.invariant: v.n_rows for v in found}

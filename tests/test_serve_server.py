@@ -3,8 +3,10 @@
 import errno
 import http.client
 import json
+import os
 import selectors
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -213,6 +215,7 @@ class TestErrorEnvelopes:
         request = urllib.request.Request(base + "/predict", data=b"{nope")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
 
@@ -233,21 +236,34 @@ class TestEndToEnd:
             assert status == 200
             assert [m["spec"] for m in models["models"]] == [record.spec]
 
+            # The server counts a request after sending its reply, so the
+            # scrape follows /predict on the same connection: one handler
+            # thread serves both, in order.
             rows = suite_dataset.X[:8]
-            status, scored = call(
-                server, "/predict",
-                {"model": "cpi-tree", "sections": rows.tolist()},
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", server.bound_port, timeout=10
             )
-            assert status == 200
-            assert scored["predictions"] == [
-                float(p) for p in suite_tree.predict(rows)
-            ]
-
-            base = f"http://127.0.0.1:{server.bound_port}"
-            with urllib.request.urlopen(base + "/metrics", timeout=10) as resp:
+            try:
+                conn.request(
+                    "POST", "/predict",
+                    json.dumps(
+                        {"model": "cpi-tree", "sections": rows.tolist()}
+                    ),
+                    {"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                status, scored = resp.status, json.loads(resp.read())
+                assert status == 200
+                assert scored["predictions"] == [
+                    float(p) for p in suite_tree.predict(rows)
+                ]
+                conn.request("GET", "/metrics")
+                resp = conn.getresponse()
                 assert resp.status == 200
                 assert resp.headers["Content-Type"].startswith("text/plain")
                 text = resp.read().decode("utf-8")
+            finally:
+                conn.close()
             assert ('repro_requests_total{endpoint="/predict",status="200"} 1'
                     in text)
             assert "repro_request_seconds_bucket" in text
@@ -276,8 +292,9 @@ class TestEndToEnd:
 
 class TestBatchQueue:
     def test_concurrent_submissions_coalesce(self, suite_tree, suite_dataset):
-        # Batches form from contention: the first evaluation holds the
-        # evaluator until the other seven requests are queued behind it.
+        # Batches form from contention: the first request leads, and its
+        # evaluation holds the lead until the other seven requests are
+        # queued behind it; the oldest of them then leads them all.
         batches = []
         busy, release = threading.Event(), threading.Event()
 
@@ -304,9 +321,9 @@ class TestBatchQueue:
             for thread in threads[1:]:
                 thread.start()
             deadline = time.monotonic() + 5
-            while queue._queue.qsize() < 7 and time.monotonic() < deadline:
+            while len(queue._waiting) < 7 and time.monotonic() < deadline:
                 time.sleep(0.001)
-            assert queue._queue.qsize() == 7
+            assert len(queue._waiting) == 7
             release.set()
             for thread in threads:
                 thread.join(timeout=5)
@@ -317,8 +334,122 @@ class TestBatchQueue:
                 assert results[i][0] == want[i]
             # At least one evaluation carried more than one request.
             assert sum(batches) == 8 and len(batches) < 8
+            assert batches == [1, 7]
         finally:
             release.set()
+            queue.stop()
+
+    def test_batch_failure_reaches_every_caller(self):
+        # Rows of two widths queue behind a held evaluation and meet in
+        # one batch that cannot be stacked: both callers get the error.
+        busy, release = threading.Event(), threading.Event()
+
+        def evaluate(X):
+            busy.set()
+            assert release.wait(timeout=5)
+            return np.zeros(X.shape[0])
+
+        queue = BatchQueue(evaluate).start()
+        errors = []
+
+        def score(width):
+            try:
+                queue.submit(np.zeros((1, width)))
+            except ValueError as exc:
+                errors.append(exc)
+
+        try:
+            leader = threading.Thread(target=score, args=(3,), daemon=True)
+            leader.start()
+            assert busy.wait(timeout=5)
+            followers = [
+                threading.Thread(target=score, args=(w,), daemon=True)
+                for w in (3, 4)
+            ]
+            for thread in followers:
+                thread.start()
+            deadline = time.monotonic() + 5
+            while len(queue._waiting) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert len(queue._waiting) == 2
+            release.set()
+            for thread in [leader, *followers]:
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+            assert len(errors) == 2
+        finally:
+            release.set()
+            queue.stop()
+
+    def test_stress_mixed_sizes_and_deadlines(self, suite_tree, suite_dataset):
+        """More submitting threads than cores, 1- and 64-row requests,
+        some with budgets that expire while queued, and a switch interval
+        short enough to interleave every step of the hand-off."""
+        compiled = suite_tree.compiled_
+        X = suite_dataset.X
+        n_threads = 4 * (os.cpu_count() or 1) + 4
+        per_thread, max_batch = 12, 48
+        batches = []
+
+        def evaluate(rows):
+            time.sleep(0.001)  # release the interpreter lock mid-batch
+            return compiled.predict(rows)
+
+        queue = BatchQueue(
+            evaluate, max_batch=max_batch, observe_batch=batches.append,
+        ).start()
+        outcomes = {}
+
+        def client(t):
+            rng = np.random.default_rng(t)
+            for k in range(per_thread):
+                size = 64 if rng.random() < 0.25 else 1
+                rows = X[rng.integers(len(X), size=size)]
+                timeout = 1e-4 if rng.random() < 0.3 else None
+                try:
+                    outcome = queue.submit(rows, timeout=timeout)
+                except TaskTimeoutError as exc:
+                    outcome = exc
+                outcomes[t, k] = (rows, timeout, outcome)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(t,), daemon=True)
+                for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert len(outcomes) == n_threads * per_thread
+            scored_rows = 0
+            expired = 0
+            for rows, timeout, outcome in outcomes.values():
+                if isinstance(outcome, TaskTimeoutError):
+                    assert timeout is not None
+                    expired += 1
+                    continue
+                assert np.array_equal(outcome, compiled.predict(rows))
+                scored_rows += rows.shape[0]
+            assert expired > 0
+            assert sum(batches) == scored_rows
+            # Only a request larger than the budget forms a larger batch.
+            assert all(n <= max_batch or n == 64 for n in batches)
+            # Nothing is stranded: the lead was handed back, so a later
+            # submit is scored at once.
+            late = threading.Thread(
+                target=client, args=(n_threads,), daemon=True
+            )
+            late.start()
+            late.join(timeout=10)
+            assert not late.is_alive()
+        finally:
             queue.stop()
 
     def test_deadline_enforced(self, suite_dataset):
