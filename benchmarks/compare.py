@@ -17,28 +17,15 @@ Usage::
 ``--update`` rewrites the baseline from the current run (use after an
 intentional performance change) instead of comparing.
 
-Latency-history mode tracks the chaos loadtest instead of pytest
-benchmarks: ``--loadtest loadtest.json`` appends a compact record of
-the run (tail latencies, throughput, SLO verdict) to
-``benchmarks/loadtest_history.jsonl`` and *warns* — without failing —
-when p99 regressed beyond the tolerance against the previous entry.
-Tail latency on shared CI runners is too noisy to gate on, but a
-drifting p99 should be visible in the log, not silent::
-
-    python benchmarks/compare.py --loadtest loadtest.json \
-        --history benchmarks/loadtest_history.jsonl
-
 Stdlib-only on purpose: CI can run it before any project install.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
-import os
 import sys
-from typing import Dict, Optional
+from typing import Dict
 
 
 def load_means(path: str) -> Dict[str, float]:
@@ -105,83 +92,17 @@ def compare(current: Dict[str, float], baseline: Dict[str, float],
     return 0
 
 
-def load_loadtest(path: str) -> Dict[str, object]:
-    """A compact history record from one ``repro loadtest`` JSON."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    result = document.get("result")
-    if not isinstance(result, dict):
-        raise SystemExit(f"{path}: no 'result' object (not a loadtest JSON?)")
-    latency = result.get("latency_ms") or {}
-    record: Dict[str, object] = {
-        "ts": datetime.datetime.now(datetime.timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        ),
-        "sha": os.environ.get("GITHUB_SHA", ""),
-        "requests": result.get("requests"),
-        "success_rate": result.get("success_rate"),
-        "achieved_rps": result.get("achieved_rps"),
-        "slo_met": document.get("slo_met"),
-    }
-    for quantile in ("p50", "p90", "p99", "max"):
-        record[quantile] = latency.get(quantile)
-    return record
-
-
-def loadtest_history(current_path: str, history_path: str,
-                     tolerance: float) -> int:
-    """Append a loadtest record to the history; warn on p99 regression.
-
-    Always returns 0: the SLO gate (`repro loadtest` itself) owns
-    pass/fail, and CI-runner tail latency is too noisy for a hard gate —
-    this keeps the trend on the record and makes drift loud.
-    """
-    record = load_loadtest(current_path)
-    previous: Optional[Dict[str, object]] = None
-    if os.path.exists(history_path):
-        with open(history_path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        if lines:
-            previous = json.loads(lines[-1])
-    p99 = record.get("p99")
-    prior_p99 = (previous or {}).get("p99")
-    if isinstance(p99, (int, float)) and isinstance(prior_p99, (int, float)) \
-            and prior_p99 > 0:
-        ratio = p99 / prior_p99
-        print(f"  loadtest p99 {p99:.1f}ms  previous {prior_p99:.1f}ms  "
-              f"x{ratio:.2f}")
-        if ratio > 1.0 + tolerance:
-            print(f"WARNING: loadtest p99 regressed x{ratio:.2f} "
-                  f"(beyond {tolerance:.0%}) over the previous entry")
-    else:
-        print(f"  loadtest p99 {p99}ms  (no previous entry to compare)")
-    with open(history_path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-    print(f"appended to {history_path}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("current", nargs="?", help="fresh benchmark JSON")
-    parser.add_argument("baseline", nargs="?", help="checked-in baseline JSON")
+    parser.add_argument("current", help="fresh benchmark JSON")
+    parser.add_argument("baseline", help="checked-in baseline JSON")
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed mean-time growth (default 0.30 = 30%%)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from the current run")
-    parser.add_argument("--loadtest", metavar="JSON",
-                        help="loadtest JSON to append to the latency history")
-    parser.add_argument("--history", metavar="JSONL",
-                        default="benchmarks/loadtest_history.jsonl",
-                        help="latency history file (loadtest mode)")
     args = parser.parse_args(argv)
     if args.tolerance < 0:
         parser.error("tolerance must be non-negative")
-    if args.loadtest is not None:
-        return loadtest_history(args.loadtest, args.history, args.tolerance)
-    if args.current is None or args.baseline is None:
-        parser.error("current and baseline JSONs are required "
-                     "(or use --loadtest)")
     current = load_means(args.current)
     if args.update:
         write_baseline(args.baseline, current)

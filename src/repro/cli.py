@@ -12,8 +12,6 @@ Subcommands mirror the paper's workflow:
 * ``repro lint``        — statically verify models, datasets, compatibility
 * ``repro verify``      — abstract interpretation over compiled tree arenas
 * ``repro serve``       — batched HTTP model server over the registry
-  (``--workers N`` runs a supervised multi-process fleet)
-* ``repro loadtest``    — sustained-RPS load generator with an SLO gate
 * ``repro workloads``   — list the synthetic suite
 * ``repro bench``       — time the hot paths, write a BENCH_<date>.json
 * ``repro cache``       — inspect or clear the on-disk artifact cache
@@ -204,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="model registry directory to verify (no value: "
                       "the default registry); with --data, also checks "
                       "entries' feature sets against the dataset")
-    lint.add_argument("--fleet-config", metavar="PATH", default=None,
-                      help="fleet configuration JSON to audit (the FLEET "
-                      "rule family)")
     lint.add_argument("--calibration", metavar="PATH", default=None,
                       help="fastsim calibration artifact JSON to audit "
                       "(the FASTSIM rule family)")
@@ -336,19 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="per-request wall-clock budget; past it the "
                        "request fails with 503 (default: none)")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="worker processes; above 1 runs the "
-                       "supervised fleet (router + health-checked "
-                       "workers; default 1 = single in-process server)")
-    serve.add_argument("--mode", default=None,
-                       choices=["router", "reuseport"],
-                       help="fleet topology: router (front proxy with "
-                       "crash retry, the default) or reuseport (kernel-"
-                       "balanced SO_REUSEPORT sharing)")
-    serve.add_argument("--fleet-config", metavar="PATH", default=None,
-                       help="fleet configuration JSON; its values "
-                       "override the command-line fleet settings "
-                       "(audit it with `repro lint --fleet-config`)")
     serve.add_argument("--drain-timeout", type=float, default=5.0,
                        metavar="SECONDS",
                        help="how long SIGTERM lets in-flight requests "
@@ -356,52 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-inflight", type=int, default=None,
                        metavar="N",
                        help="shed requests beyond this many in flight "
-                       "with 503 + Retry-After (default: fleet 64, "
-                       "single server unlimited)")
+                       "with 503 + Retry-After (default: unlimited)")
     serve.add_argument("--check", action="store_true",
                        help="run the startup preflight (registry, "
                        "integrity, compiled-vs-interpreted parity) and "
                        "exit instead of serving")
     _add_jobs_argument(serve)
-
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="sustained-RPS load generator with an SLO gate",
-        description="Drive /predict at a fixed open-loop rate against "
-        "a running server or fleet, tally successes, shed 503s, "
-        "failures, and connection resets, and report latency "
-        "percentiles in the repro-report envelope.  "
-        "Exit codes: 0 SLO met, 2 missed.",
-    )
-    loadtest.add_argument("--host", default="127.0.0.1",
-                          help="target address (default 127.0.0.1)")
-    loadtest.add_argument("--port", type=int, default=8377,
-                          help="target port (default 8377)")
-    loadtest.add_argument("--data", required=True,
-                          help="dataset CSV whose rows become request "
-                          "payloads (seeded selection)")
-    loadtest.add_argument("--model", metavar="SPEC", default=None,
-                          help="model spec to name in each payload")
-    loadtest.add_argument("--rps", type=float, default=200.0,
-                          help="open-loop request rate (default 200)")
-    loadtest.add_argument("--duration", type=float, default=10.0,
-                          metavar="SECONDS",
-                          help="run length (default 10)")
-    loadtest.add_argument("--concurrency", type=int, default=16,
-                          help="client threads (default 16)")
-    loadtest.add_argument("--timeout", type=float, default=5.0,
-                          metavar="SECONDS",
-                          help="per-request client timeout; overruns "
-                          "count as resets (default 5)")
-    loadtest.add_argument("--seed", type=int, default=0,
-                          help="row-selection seed (default 0)")
-    loadtest.add_argument("--slo", type=float, default=0.99,
-                          help="minimum success rate the gate demands "
-                          "(default 0.99)")
-    loadtest.add_argument("--out", metavar="PATH", default=None,
-                          help="also write the JSON report here")
-    loadtest.add_argument("--format", default="text",
-                          choices=["text", "json"])
 
     conformance = sub.add_parser(
         "conformance",
@@ -800,11 +742,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                   f"{lint_rule.severity.value:<8} {lint_rule.summary}")
         return 0
     if (not args.model and not args.data and not args.cache_dir
-            and args.registry is None and not args.fleet_config
-            and not args.calibration):
+            and args.registry is None and not args.calibration):
         raise ReproError(
             "lint needs --model, --data, --cache-dir, --registry, "
-            "--fleet-config, and/or --calibration (or --list-rules)"
+            "and/or --calibration (or --list-rules)"
         )
     model = None
     if args.model:
@@ -821,12 +762,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             from repro.serve import ModelRegistry
 
             registry_dir = ModelRegistry().directory
-    fleet_config = Path(args.fleet_config) if args.fleet_config else None
     calibration = Path(args.calibration) if args.calibration else None
     report = run_lint(
         model=model, dataset=dataset, cache_dir=cache_dir,
-        registry_dir=registry_dir, fleet_config=fleet_config,
-        calibration=calibration,
+        registry_dir=registry_dir, calibration=calibration,
     )
     if args.format == "json":
         print(render_json(report))
@@ -1097,8 +1036,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         results = preflight(registry, model_spec=args.model)
         print(render_preflight(results))
         return 0 if all(r.ok for r in results) else 2
-    if args.workers > 1 or args.fleet_config is not None:
-        return _serve_fleet(args)
     server = ModelServer(
         registry=registry,
         default_model=args.model,
@@ -1141,96 +1078,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 130
     server.shutdown()
     return 0
-
-
-def _serve_fleet(args: argparse.Namespace) -> int:
-    import json as _json
-    import signal
-
-    from repro.serve import FleetConfig, ServingFleet
-
-    base = {
-        "model": args.model,
-        "workers": max(1, args.workers),
-        "host": args.host,
-        "port": args.port,
-        "mode": args.mode or "router",
-        "registry_dir": args.registry,
-        "max_batch": args.max_batch,
-        "task_timeout": args.task_timeout,
-        "drain_timeout_s": args.drain_timeout,
-    }
-    if args.max_inflight is not None:
-        base["max_inflight"] = args.max_inflight
-    if args.fleet_config is not None:
-        with open(args.fleet_config, "r", encoding="utf-8") as handle:
-            document = _json.load(handle)
-        if not isinstance(document, dict):
-            raise ReproError(
-                f"{args.fleet_config}: fleet config must be a JSON object"
-            )
-        base.update(document)
-    config = FleetConfig.from_dict(base)
-    fleet = ServingFleet(
-        config, on_event=lambda event: print(event, file=sys.stderr)
-    )
-
-    def _terminate(signum: int, frame: object) -> None:
-        raise _DrainRequested
-
-    signal.signal(signal.SIGTERM, _terminate)
-    fleet.start()
-    print(f"fleet listening on http://{config.host}:{fleet.bound_port} "
-          f"({config.workers} worker(s), mode {config.mode}; extra "
-          "endpoints: /fleet/status /fleet/rollout; SIGTERM drains)",
-          flush=True)
-    try:
-        fleet.serve_forever()
-    except (_DrainRequested, KeyboardInterrupt) as signal_exc:
-        fleet.shutdown()
-        if isinstance(signal_exc, KeyboardInterrupt):
-            print("fleet stopped", file=sys.stderr)
-            return 130
-        print("fleet drained and stopped", file=sys.stderr)
-        return 0
-    fleet.shutdown()
-    return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.lint import json_document
-    from repro.serve.loadtest import render_result, run_loadtest
-
-    dataset = _load(args.data)
-    result = run_loadtest(
-        host=args.host,
-        port=args.port,
-        sections=dataset.X.tolist(),
-        rps=args.rps,
-        duration_s=args.duration,
-        concurrency=args.concurrency,
-        timeout_s=args.timeout,
-        model=args.model,
-        seed=args.seed,
-    )
-    document = json_document("loadtest", {
-        "target": f"http://{args.host}:{args.port}/predict",
-        "model": args.model,
-        "seed": args.seed,
-        "slo": args.slo,
-        "slo_met": result.slo_ok(args.slo),
-        "result": result.to_dict(),
-    })
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(document + "\n")
-    if args.format == "json":
-        print(document)
-    else:
-        print(render_result(result, args.slo))
-        if args.out:
-            print(f"wrote {args.out}")
-    return 0 if result.slo_ok(args.slo) else 2
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -1429,7 +1276,6 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "cache": _cmd_cache,
     "serve": _cmd_serve,
-    "loadtest": _cmd_loadtest,
     "faults": _cmd_faults,
     "conformance": _cmd_conformance,
     "fuzz": _cmd_fuzz,

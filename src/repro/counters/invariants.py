@@ -335,13 +335,16 @@ def check_dataset(
 
     violations: List[InvariantViolation] = []
     for inv in invariants:
-        lhs = total(inv.lhs)
-        if inv.kind == "positive":
-            bad = ~(lhs > 0)
-        else:
-            rhs = total(inv.rhs) + inv.bound
-            tolerance = _EPS * np.maximum(1.0, np.abs(rhs))
-            bad = lhs > rhs + tolerance
+        # Finite values near the float limit may sum to inf; the
+        # comparison is still right, so the overflow is no news.
+        with np.errstate(over="ignore"):
+            lhs = total(inv.lhs)
+            if inv.kind == "positive":
+                bad = ~(lhs > 0)
+            else:
+                rhs = total(inv.rhs) + inv.bound
+                tolerance = _EPS * np.maximum(1.0, np.abs(rhs))
+                bad = lhs > rhs + tolerance
         if bad.any():
             violations.append(
                 InvariantViolation(
@@ -407,9 +410,11 @@ class InvariantTable:
         """Rows of ``X`` (shape ``(n, len(columns))``) violating each rule."""
         padded = np.zeros((X.shape[0], self._width + 1))
         padded[:, :self._width] = X
-        lhs = _sum_terms(padded[:, self._lhs])
-        rhs = _sum_terms(padded[:, self._rhs]) + self._bound
-        bad = lhs > rhs + _EPS * np.maximum(1.0, np.abs(rhs))
+        # As in check_dataset: a side may overflow to inf, harmlessly.
+        with np.errstate(over="ignore"):
+            lhs = _sum_terms(padded[:, self._lhs])
+            rhs = _sum_terms(padded[:, self._rhs]) + self._bound
+            bad = lhs > rhs + _EPS * np.maximum(1.0, np.abs(rhs))
         if self._positive is not None:
             bad = np.where(self._positive, ~(lhs > 0), bad)
         return np.count_nonzero(bad, axis=0)

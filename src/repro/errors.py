@@ -82,11 +82,11 @@ class ServeError(ReproError):
 class OverloadError(ServeError):
     """A request was shed before evaluation to protect the server.
 
-    Raised by admission control when the server is draining, over its
-    in-flight budget, or in degraded mode.  The HTTP layer maps it to a
-    503 with a ``Retry-After`` header and a machine-readable ``reason``
-    in the error envelope, so well-behaved clients back off instead of
-    piling on.
+    Raised by admission control when the server is draining or over its
+    in-flight budget.  The HTTP layer maps it to a 503 with a
+    ``Retry-After`` header and a machine-readable ``reason`` in the
+    error envelope, so well-behaved clients back off instead of piling
+    on.
     """
 
     def __init__(
@@ -96,15 +96,6 @@ class OverloadError(ServeError):
         super().__init__(message)
         self.reason = reason
         self.retry_after = retry_after
-
-
-class FleetError(ServeError):
-    """The serving fleet was misconfigured or a worker misbehaved.
-
-    Covers invalid fleet topology (worker counts, ports), workers that
-    never become healthy, and supervision failures that are bugs rather
-    than the routine crashes the supervisor absorbs.
-    """
 
 
 class RegistryError(ServeError):

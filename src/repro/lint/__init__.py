@@ -5,7 +5,7 @@ variables and leaf coefficients are read off as micro-architectural
 explanations, so a malformed tree or a corrupt counter dataset silently
 poisons the "what" and "how much" answers.  This subsystem verifies the
 artifacts statically — before they are trained on, shipped, or loaded —
-through three rule families:
+through eight rule families:
 
 * **tree** (``TREE0xx``): structural soundness of a fitted/deserialized
   :class:`~repro.core.tree.m5.M5Prime` — feature indices, reachability,
@@ -30,10 +30,6 @@ through three rule families:
   arena (:mod:`repro.verify`) — structural well-formedness plus
   interval abstract interpretation: dead branches, domain coverage,
   bounded predictions.
-* **fleet** (``FLEET0xx``): fleet-config sanity — unknown keys, worker
-  counts, mode/port compatibility, timing knobs, admission control,
-  and circuit-breaker settings, audited before a fleet tries to boot
-  with them.
 * **fastsim** (``FASTSIM0xx``): fastsim calibration-artifact audit —
   schema and required keys, machine/workload fingerprint freshness,
   residual-model and anchor-table integrity, fit-quality stats, and
@@ -69,7 +65,6 @@ from repro.lint.registry import (
     FAMILY_COMPAT,
     FAMILY_DATASET,
     FAMILY_FASTSIM,
-    FAMILY_FLEET,
     FAMILY_FOREST,
     FAMILY_SERVE,
     FAMILY_TREE,
@@ -94,14 +89,12 @@ from repro.lint import cache_rules as _cache_rules  # noqa: F401
 from repro.lint import serve_rules as _serve_rules  # noqa: F401
 from repro.lint import forest_rules as _forest_rules  # noqa: F401
 from repro.lint import verify_rules as _verify_rules  # noqa: F401
-from repro.lint import fleet_rules as _fleet_rules  # noqa: F401
 from repro.lint import fastsim_rules as _fastsim_rules  # noqa: F401
 
 __all__ = [
     "ALL_FAMILIES",
     "FAMILY_CACHE",
     "FAMILY_FASTSIM",
-    "FAMILY_FLEET",
     "FAMILY_FOREST",
     "FAMILY_SERVE",
     "FAMILY_VERIFY",
@@ -121,7 +114,6 @@ __all__ = [
     "lint_calibration",
     "lint_compatibility",
     "lint_dataset",
-    "lint_fleet",
     "lint_forest",
     "lint_model",
     "lint_registry",
@@ -139,7 +131,6 @@ def _resolve_families(
     dataset: Optional[Table],
     cache_dir: Optional[Path],
     registry_dir: Optional[Path],
-    fleet_config: Optional[Union[Path, dict]],
     calibration: Optional[Union[Path, dict]],
     families: Optional[Sequence[str]],
 ) -> tuple:
@@ -157,8 +148,6 @@ def _resolve_families(
         available.append(FAMILY_FOREST)
     if model is not None:
         available.append(FAMILY_VERIFY)
-    if fleet_config is not None:
-        available.append(FAMILY_FLEET)
     if calibration is not None:
         available.append(FAMILY_FASTSIM)
     if families is None:
@@ -171,7 +160,6 @@ def _resolve_families(
         FAMILY_SERVE: "a registry directory",
         FAMILY_FOREST: "a registry directory",
         FAMILY_VERIFY: "a model",
-        FAMILY_FLEET: "a fleet config",
         FAMILY_FASTSIM: "a calibration artifact",
     }
     for family in families:
@@ -189,7 +177,6 @@ def run_lint(
     families: Optional[Sequence[str]] = None,
     cache_dir: Optional[Path] = None,
     registry_dir: Optional[Path] = None,
-    fleet_config: Optional[Union[Path, dict]] = None,
     calibration: Optional[Union[Path, dict]] = None,
 ) -> LintReport:
     """Run every applicable lint rule and collect the findings.
@@ -209,9 +196,6 @@ def run_lint(
             serve family: manifest integrity, blob checksums,
             manifest-vs-blob agreement; with ``dataset``, feature-set
             drift against the data).
-        fleet_config: A fleet config to audit — the parsed dict or a
-            path to the JSON file (enables the fleet family; a file
-            that fails to load is a FLEET001 finding, not a crash).
         calibration: A fastsim calibration artifact to audit — the
             serialized payload dict or a path to the JSON file (enables
             the fastsim family; a file that fails to load is a
@@ -226,24 +210,21 @@ def run_lint(
             family its inputs cannot support.
     """
     if (model is None and dataset is None and cache_dir is None
-            and registry_dir is None and fleet_config is None
-            and calibration is None):
+            and registry_dir is None and calibration is None):
         raise LintError(
             "lint needs a model, a dataset, a cache directory, a "
-            "registry directory, a fleet config, or a calibration "
-            "artifact"
+            "registry directory, or a calibration artifact"
         )
     if model is not None and model.root_ is None:
         raise LintError("cannot lint an unfitted model")
     table = as_table(dataset) if dataset is not None else None
     selected = _resolve_families(
-        model, table, cache_dir, registry_dir, fleet_config, calibration,
-        families,
+        model, table, cache_dir, registry_dir, calibration, families,
     )
     context = LintContext(
         model=model, dataset=table, cache_dir=cache_dir,
-        registry_dir=registry_dir, fleet_config=fleet_config,
-        calibration=calibration, config=config or LintConfig(),
+        registry_dir=registry_dir, calibration=calibration,
+        config=config or LintConfig(),
     )
     report = LintReport(families=selected)
     for family in selected:
@@ -311,15 +292,6 @@ def lint_cache(
     """Run the artifact-cache integrity rules alone."""
     return run_lint(
         cache_dir=cache_dir, config=config, families=(FAMILY_CACHE,)
-    )
-
-
-def lint_fleet(
-    fleet_config: Union[Path, dict], config: Optional[LintConfig] = None
-) -> LintReport:
-    """Run the fleet-config rules alone."""
-    return run_lint(
-        fleet_config=fleet_config, config=config, families=(FAMILY_FLEET,)
     )
 
 

@@ -62,10 +62,6 @@ class LintContext:
     dataset: Optional[Table] = None
     cache_dir: Optional[Path] = None
     registry_dir: Optional[Path] = None
-    #: Fleet config to audit: either the parsed dict itself or a path
-    #: to the JSON file (the fleet rules load it leniently — a broken
-    #: file is a finding, not a crash).
-    fleet_config: Optional[Union[Path, Dict[str, object]]] = None
     #: Fastsim calibration artifact to audit: the serialized payload
     #: dict or a path to the JSON file (the fastsim rules load it
     #: leniently — a broken artifact is a finding, not a crash).

@@ -11,9 +11,6 @@ pieces that guarantee it:
   checkpoints so killed runs resume bit-identically;
 * :mod:`repro.resilience.policy` — :class:`RunPolicy`, the single
   argument the execution paths take;
-* :mod:`repro.resilience.breaker` — a circuit breaker that converts
-  persistent failure into fail-fast degraded mode (the serving fleet's
-  supervision loop uses it next to :class:`RetryPolicy` backoff);
 * :mod:`repro.resilience.faults` — the deterministic fault-injection
   harness (``REPRO_FAULTS``) that makes all of the above testable.
 
@@ -23,7 +20,6 @@ randomness is pre-spawned per unit and faults only decide *whether* a
 unit fails, never *what* it computes.
 """
 
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.checkpoint import (
     CheckpointStore,
     dataset_fingerprint,
@@ -55,7 +51,6 @@ from repro.resilience.retry import (
 __all__ = [
     "COLLECT_ERRORS",
     "CheckpointStore",
-    "CircuitBreaker",
     "FAIL_FAST",
     "FAULTS_ENV",
     "FailPolicy",

@@ -52,8 +52,6 @@ KNOWN_SITES: Mapping[str, str] = {
     "cache_write": "an artifact-cache write fails before completing",
     "checkpoint_read": "a checkpoint file is unreadable",
     "checkpoint_write": "a checkpoint write fails before completing",
-    "worker_crash": "a serving worker process dies mid-request",
-    "slow_handler": "a serving request handler stalls past its deadline",
     "registry_read": "a registry manifest read fails",
 }
 

@@ -25,26 +25,16 @@ with them at interactive latency:
   traffic.
 * :mod:`repro.serve.check` — the ``repro serve --check`` preflight
   (including static verification of every resolved artifact).
-* :mod:`repro.serve.fleet` / :mod:`repro.serve.supervisor` — the
-  supervised multi-process fleet: a front router (or ``SO_REUSEPORT``
-  sharing) over N forked workers, health-checked and restarted with
-  backoff, a circuit breaker for degraded mode, load shedding, and
-  zero-downtime alias rollouts.
-* :mod:`repro.serve.loadtest` — the ``repro loadtest`` sustained-RPS
-  generator and its latency-percentile report.
 """
 
 from repro.serve.batching import BatchQueue
 from repro.serve.check import CheckResult, preflight, render_preflight
 from repro.serve.compiled import CompiledArena, LeafIndicator, compile_tree
 from repro.serve.drift import DriftMonitor
-from repro.serve.fleet import FleetConfig, ServingFleet
-from repro.serve.loadtest import LoadTestResult, run_loadtest
 from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.refine import RefinedForest, RefinedWeights, refined_predict
 from repro.serve.registry import ModelRecord, ModelRegistry, parse_spec
 from repro.serve.server import SCHEMA, ModelServer
-from repro.serve.supervisor import Supervisor, WorkerSlot
 
 __all__ = [
     "BatchQueue",
@@ -52,11 +42,9 @@ __all__ = [
     "CompiledArena",
     "Counter",
     "DriftMonitor",
-    "FleetConfig",
     "Gauge",
     "Histogram",
     "LeafIndicator",
-    "LoadTestResult",
     "MetricsRegistry",
     "ModelRecord",
     "ModelRegistry",
@@ -64,13 +52,9 @@ __all__ = [
     "RefinedForest",
     "RefinedWeights",
     "SCHEMA",
-    "ServingFleet",
-    "Supervisor",
-    "WorkerSlot",
     "compile_tree",
     "parse_spec",
     "preflight",
     "refined_predict",
     "render_preflight",
-    "run_loadtest",
 ]

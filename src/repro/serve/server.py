@@ -24,8 +24,8 @@ deadline overruns and shed requests 503 (the
 admission-control path), unexpected failures 500 — always as a
 ``{"schema": ..., "error": ..., "status": ...}`` JSON body, never a
 traceback page.  Every 503 carries a ``Retry-After`` header and a
-machine-readable ``reason`` (``deadline`` / ``overload`` / ``draining``
-/ ``degraded``) so clients can back off instead of piling on; shed
+machine-readable ``reason`` (``deadline`` / ``overload`` /
+``draining``) so clients can back off instead of piling on; shed
 requests are counted by the ``repro_shed_total`` metric.
 
 Lifecycle: ``shutdown(drain_timeout=...)`` drains gracefully — the
@@ -34,9 +34,9 @@ requests get up to the drain timeout to finish, then batch queues stop.
 The CLI wires SIGTERM to this path so an orchestrator's stop is never a
 dropped request.
 
-Transport: both HTTP surfaces, this server and the fleet router in
-:mod:`repro.serve.fleet`, run on :class:`ServeHTTPServer` and
-:class:`ServeRequestHandler`, one socket policy for the two.
+Transport: :class:`ServeHTTPServer` listens and
+:class:`ServeRequestHandler` sends each reply as one flushed write with
+Nagle off, so keep-alive replies never wait on a delayed ACK.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from repro.verify import verify_model
 if TYPE_CHECKING:
     from repro.verify.certificate import VerificationCertificate
 
-__all__ = ["ModelServer", "SCHEMA", "ServeHTTPServer", "ServeRequestHandler"]
+__all__ = ["ModelServer", "SCHEMA", "ServeHTTPServer"]
 
 #: Envelope identity on every JSON response; bump on breaking changes.
 SCHEMA = "repro-serve/1"
@@ -85,7 +85,7 @@ _SCORED = np.dtype([("prediction", np.float64), ("leaf_id", np.int64)])
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
-    """The listening server of both HTTP surfaces.
+    """The listening server.
 
     Request threads are daemons (``ThreadingHTTPServer``'s default), the
     listen backlog is ``socket.SOMAXCONN`` instead of ``socketserver``'s
@@ -124,7 +124,7 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
 
 class ServeRequestHandler(BaseHTTPRequestHandler):
-    """The reply transport of both HTTP surfaces.
+    """The reply transport.
 
     ``http.server`` sends a reply's headers and body as two ``send()``
     calls.  With Nagle's algorithm on, the body then waits for the
@@ -209,9 +209,6 @@ class ModelServer:
             disables shedding.
         retry_after_s: Value (seconds) 503 responses advertise in their
             ``Retry-After`` header.
-        reuse_port: Bind with ``SO_REUSEPORT`` so sibling processes can
-            share the port (kernel-balanced fleet mode); raises
-            :class:`~repro.errors.ServeError` where unsupported.
     """
 
     def __init__(
@@ -225,7 +222,6 @@ class ModelServer:
         range_slack: float = 0.10,
         max_inflight: Optional[int] = None,
         retry_after_s: float = 1.0,
-        reuse_port: bool = False,
     ) -> None:
         if max_inflight is not None and max_inflight < 1:
             raise ServeError(
@@ -240,7 +236,6 @@ class ModelServer:
         self.range_slack = float(range_slack)
         self.max_inflight = max_inflight
         self.retry_after_s = float(retry_after_s)
-        self.reuse_port = bool(reuse_port)
         self._models: Dict[str, ServedModel] = {}
         self._by_digest: Dict[str, ServedModel] = {}
         self._models_lock = threading.Lock()
@@ -575,26 +570,9 @@ class ModelServer:
         """Bind the listening socket and start the request threads."""
         if self._httpd is not None:
             raise ServeError("server already started")
-        handler = _make_handler(self)
-        httpd = ServeHTTPServer(
-            (self.host, self.port), handler, bind_and_activate=False
+        self._httpd = ServeHTTPServer(
+            (self.host, self.port), _make_handler(self)
         )
-        try:
-            if self.reuse_port:
-                if not hasattr(socket, "SO_REUSEPORT"):
-                    raise ServeError(
-                        "SO_REUSEPORT is not available on this platform; "
-                        "use the router fleet mode instead"
-                    )
-                httpd.socket.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-                )
-            httpd.server_bind()
-            httpd.server_activate()
-        except BaseException:
-            httpd.server_close()
-            raise
-        self._httpd = httpd
         return self
 
     @property
@@ -701,7 +679,7 @@ def _make_handler(app: ModelServer):
             document = {"schema": SCHEMA, "error": message, "status": status}
             headers: Dict[str, str] = {}
             if status == 503:
-                # Every 503 — deadline, shed, degraded — tells clients
+                # Every 503 — deadline or shed — tells clients
                 # when to come back, in whole seconds as RFC 7231 asks.
                 delay = retry_after if retry_after is not None \
                     else app.retry_after_s

@@ -1,5 +1,7 @@
 """Metrics exposition format, drift monitoring, and the preflight."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -318,6 +320,31 @@ class TestDriftMonitorOracle:
                 expected_range[name] = count
         assert snapshot["out_of_range"] == expected_range
         assert snapshot["rows_seen"] == X.shape[0]
+
+    def test_counts_match_check_dataset_near_the_float_limit(self):
+        # Finite rows whose rule sides sum past the float limit: both
+        # checks count the same rows, and neither warns of the overflow.
+        width = len(PREDICTOR_NAMES)
+        X = np.array([
+            [1e308] * width,
+            [1e308 if i % 2 else -1e308 for i in range(width)],
+            [-1e308 if i % 2 else 1e308 for i in range(width)],
+        ])
+        model = M5Prime()
+        model.attributes_ = list(PREDICTOR_NAMES)
+        monitor = DriftMonitor(model, range_slack=0.1)
+        rules = applicable_invariants(METRIC_INVARIANTS, PREDICTOR_NAMES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monitor.observe(X)
+            found = check_dataset(
+                {name: X[:, i] for i, name in enumerate(PREDICTOR_NAMES)},
+                rules, check_negative=False,
+            )
+        assert found
+        assert monitor.snapshot()["invariant_violations"] == {
+            v.invariant: v.n_rows for v in found
+        }
 
     @settings(max_examples=100, deadline=None)
     @given(batch=_batch(tuple(event.name for event in ALL_EVENTS)))

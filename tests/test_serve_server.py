@@ -11,10 +11,13 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.tree import M5Prime
+from repro.counters import PREDICTOR_NAMES
 from repro.errors import ServeError, TaskTimeoutError
 from repro.serve.batching import BatchQueue
 from repro.serve.registry import ModelRegistry
@@ -101,6 +104,36 @@ class TestPredictEnvelope:
         })
         assert status == 200
         assert document["model"] == "cpi-tree@1"
+
+    def test_section_near_the_float_limit(self):
+        # Finite values the payload check accepts, whose Table I
+        # invariant sums overflow to inf.  A constant-target model keeps
+        # the prediction itself finite, so only the drift check could
+        # warn.  Warning filters are process-wide here: a RuntimeWarning
+        # on the handler thread would raise there and answer 500.
+        X = np.random.default_rng(0).uniform(
+            0.0, 0.1, size=(40, len(PREDICTOR_NAMES))
+        )
+        model = M5Prime().fit(X, np.ones(40), PREDICTOR_NAMES)
+        srv = ModelServer(port=0)
+        srv.add_model("constant", model)
+        srv.start()
+        srv.serve_in_background()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                status, document = call(
+                    srv, "/predict",
+                    {"section": [1e308] * len(PREDICTOR_NAMES)},
+                )
+            assert status == 200, document
+            assert document["predictions"] == [1.0]
+            violations = srv.get_model().drift.snapshot()[
+                "invariant_violations"
+            ]
+            assert violations["metric-mix-exceeds-one"] == 1
+        finally:
+            srv.shutdown()
 
 
 class TestKeepAlive:
@@ -560,17 +593,22 @@ class TestLoadShedding:
 class TestDeadlineShed:
     def test_deadline_503_envelope(self, tmp_path, suite_tree, suite_dataset,
                                    monkeypatch):
-        from repro.resilience.faults import reset_faults
-        from repro.serve.fleet import _FleetWorkerServer
-
-        monkeypatch.setenv("REPRO_FAULTS", "slow_handler:1.0")
-        reset_faults()
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish("cpi-tree", suite_tree)
-        srv = _FleetWorkerServer(
+        srv = ModelServer(
             registry=registry, default_model="cpi-tree@latest", port=0,
             task_timeout=0.05,
         )
+        # The batch outlasts the budget plus the queue's 50 ms grace, so
+        # the real queue raises TaskTimeoutError once it returns.
+        queue = srv.get_model().queue
+        evaluate = queue.evaluate
+
+        def slow(rows):
+            time.sleep(0.2)
+            return evaluate(rows)
+
+        monkeypatch.setattr(queue, "evaluate", slow)
         srv.start()
         srv.serve_in_background()
         try:
@@ -584,7 +622,6 @@ class TestDeadlineShed:
                 srv.render_metrics()
         finally:
             srv.shutdown(drain_timeout=1.0)
-            reset_faults()
 
 
 class TestGracefulShutdown:
