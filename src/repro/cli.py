@@ -11,6 +11,7 @@ Subcommands mirror the paper's workflow:
 * ``repro experiments`` — run registered paper-artifact experiments
 * ``repro lint``        — statically verify models, datasets, compatibility
 * ``repro verify``      — abstract interpretation over compiled tree arenas
+  (published models: ``repro lint --registry``)
 * ``repro serve``       — batched HTTP model server over the registry
 * ``repro workloads``   — list the synthetic suite
 * ``repro bench``       — time the hot paths, write a BENCH_<date>.json
@@ -189,9 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically verify a saved model and/or a dataset",
-        description="Run the tree, dataset, and compatibility rule "
-        "families over a saved model and/or a section dataset. "
+        help="statically verify models, datasets, caches, the registry",
+        description="Run every rule family the inputs allow over a saved "
+        "model, a section dataset, an artifact cache, a model registry "
+        "and/or a fastsim calibration. "
         "Exit codes: 0 clean, 1 warnings with --strict, 2 errors.",
     )
     lint.add_argument("--model", help="saved model JSON to verify")
@@ -200,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--registry", metavar="DIR", nargs="?", const="",
                       default=None,
                       help="model registry directory to verify (no value: "
-                      "the default registry); with --data, also checks "
-                      "entries' feature sets against the dataset")
+                      "the default registry): every recorded blob, read "
+                      "only; with --data, also checks entries' feature "
+                      "sets against the dataset")
     lint.add_argument("--calibration", metavar="PATH", default=None,
                       help="fastsim calibration artifact JSON to audit "
                       "(the FASTSIM rule family)")
@@ -217,16 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Abstract interpretation over the compiled tree "
         "arena: structural well-formedness, dead branches, domain "
         "coverage, and certified per-leaf output bounds.  Targets: a "
-        "saved model JSON, registry entries (stored certificates must "
-        "match recomputation), and/or the conformance corpus (certified "
-        "bounds cross-checked against empirical predictions).  "
+        "saved model JSON and/or the conformance corpus (certified "
+        "bounds cross-checked against empirical predictions); "
+        "`repro lint --registry` verifies published models.  "
         "Exit codes: 0 clean, 1 warnings with --strict, 2 errors.",
     )
     verify.add_argument("--model", help="saved model JSON to verify")
-    verify.add_argument("--registry", metavar="DIR", nargs="?", const="",
-                        default=None,
-                        help="verify every model in this registry "
-                        "directory (no value: the default registry)")
     verify.add_argument("--corpus", metavar="TIER", default=None,
                         choices=["quick", "deep"],
                         help="fit, verify, and empirically bound-check "
@@ -778,42 +777,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.lint import json_document
     from repro.verify import verify_model
 
-    if not args.model and args.registry is None and args.corpus is None:
-        raise ReproError("verify needs --model, --registry, and/or --corpus")
+    if not args.model and args.corpus is None:
+        raise ReproError("verify needs --model and/or --corpus")
     targets = []
-    failures = []
     if args.model:
         from repro.core.tree import load_model
 
         targets.append((args.model, verify_model(load_model(args.model))))
-    if args.registry is not None:
-        from repro.serve import ModelRegistry
-
-        registry = ModelRegistry(Path(args.registry) if args.registry else None)
-        names = sorted(registry.names())
-        if not names:
-            failures.append((str(registry.directory), "registry is empty"))
-        for name in names:
-            spec = f"{name}@latest"
-            try:
-                model, record = registry.resolve(spec)
-            except ReproError as exc:
-                failures.append((spec, str(exc)))
-                continue
-            result = verify_model(model)
-            try:
-                stored = registry.load_certificate(record)
-            except ReproError as exc:
-                failures.append((record.spec, str(exc)))
-            else:
-                if stored is not None and stored != result.certificate:
-                    failures.append((
-                        record.spec,
-                        "stored certificate disagrees with the recomputed "
-                        "one; the blob or certificate changed after "
-                        "publish — republish the model",
-                    ))
-            targets.append((record.spec, result))
     corpus_report = None
     if args.corpus is not None:
         from repro.conformance import run_certified
@@ -823,8 +793,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             max_cases=args.max_cases,
         )
     any_errors = (
-        bool(failures)
-        or any(not result.ok for _, result in targets)
+        any(not result.ok for _, result in targets)
         or (corpus_report is not None and corpus_report.exit_code() != 0)
     )
     any_warnings = any(
@@ -846,10 +815,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 }
                 for label, result in targets
             ],
-            "failures": [
-                {"target": label, "message": message}
-                for label, message in failures
-            ],
         }
         if corpus_report is not None:
             payload["corpus"] = corpus_report.to_dict()
@@ -860,8 +825,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for diagnostic in result.diagnostics:
                 print(f"  {diagnostic.render()}")
             print(f"  {result.summary()}")
-        for label, message in failures:
-            print(f"{label}: FAIL {message}")
         if corpus_report is not None:
             print(corpus_report.render_text())
     if any_errors:

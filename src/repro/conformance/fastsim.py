@@ -23,7 +23,7 @@ Check identifiers (continuing the table in
 :mod:`repro.conformance.report`):
 
 ======== ==============================================================
-FAST001  calibration is stale (machine or workload fingerprint mismatch)
+FAST001  calibration is stale (fingerprint or feature-name mismatch)
 FAST002  per-section CPI relative error exceeded the p95 tolerance
 FAST003  per-workload mean CPI relative error exceeded tolerance
 FAST004  fast dataset violated Table I metric invariants or finiteness
@@ -129,7 +129,10 @@ def run_fastsim(
         calibration = get_calibration(None, machine, seed=seed)
     report.n_checks += 1
     problems = calibration.staleness(machine, corpus)
-    problems.extend(calibration.staleness(machine, None))
+    problems.extend(
+        problem for problem in calibration.staleness(machine, None)
+        if problem not in problems
+    )
     if problems:
         for problem in problems:
             report.add("FAST001", problem, location="calibration")

@@ -24,7 +24,7 @@ META003  affine target scaling did not scale leaf models
 META004  duplicated-dataset invariance violated
 META005  min-leaf-population monotonicity violated
 FUZZ001  loader raised an untyped exception (crash) on fuzzed input
-FAST001  fastsim calibration is stale (fingerprint mismatch)
+FAST001  fastsim calibration is stale (fingerprint or feature names)
 FAST002  fastsim per-section CPI error exceeded the p95 tolerance
 FAST003  fastsim per-workload mean CPI error exceeded tolerance
 FAST004  fastsim dataset violated Table I metric invariants

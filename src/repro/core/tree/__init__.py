@@ -27,7 +27,6 @@ from repro.core.tree.node import (
     LeafNode,
     Node,
     SplitNode,
-    is_empty_bounds,
     iter_nodes_with_bounds,
 )
 from repro.core.tree.splitting import Split, find_best_split
@@ -54,7 +53,6 @@ __all__ = [
     "SplitNode",
     "TreeBuilder",
     "find_best_split",
-    "is_empty_bounds",
     "iter_nodes_with_bounds",
     "load_model",
     "loads_model",

@@ -168,11 +168,6 @@ def iter_nodes_with_bounds(
         yield from iter_nodes_with_bounds(root.right, right_bounds)
 
 
-def is_empty_bounds(bounds: Bounds) -> bool:
-    """True when some attribute interval admits no value (``high <= low``)."""
-    return any(high <= low for low, high in bounds.values())
-
-
 def assign_leaf_ids(root: Node) -> int:
     """Number leaves left-to-right starting at 1; returns the leaf count.
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -160,6 +161,14 @@ class Calibration:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "Calibration":
+        """Rebuild a calibration from :meth:`to_dict` output.
+
+        The one parser of the artifact: every malformed field raises
+        :class:`ParseError` — a non-object payload, a wrong schema, a
+        missing key, a field of the wrong type, an anchor or nominal
+        correction that is not a finite number, an empty table, or a
+        residual model that is not a fitted M5' tree.
+        """
         if not isinstance(payload, dict):
             raise ParseError("calibration payload is not a JSON object")
         schema = payload.get("schema")
@@ -180,24 +189,34 @@ class Calibration:
         missing = [key for key in required if key not in payload]
         if missing:
             raise ParseError(f"calibration payload lacks {missing}")
+        try:
+            model = model_from_dict(payload["model"])
+        except ParseError as exc:
+            raise ParseError(
+                f"residual model does not deserialize: {exc}"
+            ) from None
+        if not isinstance(model, M5Prime):
+            raise ParseError("residual model is a forest, not an M5' tree")
+        names = payload["feature_names"]
+        stats = payload.get("stats", {})
+        if not isinstance(names, (list, tuple)) or not all(
+            isinstance(name, str) for name in names
+        ):
+            raise ParseError("calibration feature_names is not a list of names")
+        if not isinstance(stats, dict) or not all(
+            _is_number(value) for value in stats.values()
+        ):
+            raise ParseError("calibration stats is not an object of numbers")
         return cls(
-            model=model_from_dict(payload["model"]),
-            anchors={
-                str(k): float(v) for k, v in dict(payload["anchors"]).items()
-            },
-            nominal_corrections={
-                str(k): float(v)
-                for k, v in dict(payload["nominal_corrections"]).items()
-            },
-            machine_fingerprint=str(payload["machine_fingerprint"]),
-            workload_fingerprint=str(payload["workload_fingerprint"]),
-            seed=int(payload["seed"]),
-            n_samples=int(payload["n_samples"]),
-            feature_names=tuple(str(n) for n in payload["feature_names"]),
-            stats={
-                str(k): float(v)
-                for k, v in dict(payload.get("stats", {})).items()
-            },
+            model=model,
+            anchors=_finite_table(payload, "anchors"),
+            nominal_corrections=_finite_table(payload, "nominal_corrections"),
+            machine_fingerprint=_typed(payload, "machine_fingerprint", str),
+            workload_fingerprint=_typed(payload, "workload_fingerprint", str),
+            seed=_typed(payload, "seed", int),
+            n_samples=_typed(payload, "n_samples", int),
+            feature_names=tuple(names),
+            stats={str(k): float(v) for k, v in stats.items()},
         )
 
     @property
@@ -214,14 +233,17 @@ class Calibration:
         config: Optional[MachineConfig] = None,
         profiles: Optional[Sequence[WorkloadProfile]] = None,
     ) -> List[str]:
-        """Fingerprint mismatches against a target configuration.
+        """Mismatches against a target configuration.
 
         Empty means the calibration is fresh for (``config``,
-        ``profiles``).  The machine fingerprint must always match.  For
-        the default suite the workload fingerprint must match; for an
-        explicit profile list the requirement is anchor *coverage* —
-        every distinct phase must have been calibrated — which is the
-        phase-level form of the same guarantee.
+        ``profiles``).  The machine fingerprint must always match, and
+        so must the stored feature names — the analytical layer's
+        :data:`~repro.fastsim.analytic.RESIDUAL_FEATURE_NAMES`, the
+        column order the residual tree is fed.  For the default suite
+        the workload fingerprint must match; for an explicit profile
+        list the requirement is anchor *coverage* — every distinct
+        phase must have been calibrated — which is the phase-level form
+        of the same guarantee.
         """
         problems = []
         machine = machine_fingerprint(config)
@@ -230,12 +252,20 @@ class Calibration:
                 "machine fingerprint mismatch: calibration "
                 f"{self.machine_fingerprint} vs current {machine}"
             )
+        if self.feature_names != RESIDUAL_FEATURE_NAMES:
+            problems.append(
+                f"stored feature names ({len(self.feature_names)}) "
+                "disagree with the analytical layer's "
+                f"RESIDUAL_FEATURE_NAMES ({len(RESIDUAL_FEATURE_NAMES)}): "
+                "the residual tree would be fed columns in the wrong order"
+            )
         if profiles is None:
             workloads = workload_fingerprint(None)
             if self.workload_fingerprint != workloads:
                 problems.append(
                     "workload fingerprint mismatch: calibration "
-                    f"{self.workload_fingerprint} vs current {workloads}"
+                    f"{self.workload_fingerprint} vs current suite "
+                    f"{workloads}"
                 )
         else:
             uncovered = sorted(
@@ -293,6 +323,38 @@ class Calibration:
         delta = np.clip(delta, -DIFFERENTIAL_CLIP, DIFFERENTIAL_CLIP)
         correction = np.clip(anchor + delta, -2.0, 2.0)
         return analytic_cpi * np.exp(correction)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(payload: Dict[str, object], key: str, kind: type):
+    """``payload[key]``, which must be a ``kind`` (a bool is no int)."""
+    value = payload[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(
+            f"calibration {key} has type {type(value).__name__}, "
+            f"expected {kind.__name__}"
+        )
+    return value
+
+
+def _finite_table(payload: Dict[str, object], key: str) -> Dict[str, float]:
+    """A non-empty phase-key table of finite numbers."""
+    table = payload[key]
+    if not isinstance(table, dict) or not table:
+        raise ParseError(f"calibration {key} table is empty or not an object")
+    bad = sorted(
+        str(k) for k, v in table.items()
+        if not _is_number(v) or not math.isfinite(v)
+    )
+    if bad:
+        raise ParseError(
+            f"calibration {key} table carries non-numeric or non-finite "
+            "entries for phase keys: " + ", ".join(bad)
+        )
+    return {str(k): float(v) for k, v in table.items()}
 
 
 def _trace_cpi(

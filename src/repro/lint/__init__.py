@@ -5,36 +5,32 @@ variables and leaf coefficients are read off as micro-architectural
 explanations, so a malformed tree or a corrupt counter dataset silently
 poisons the "what" and "how much" answers.  This subsystem verifies the
 artifacts statically — before they are trained on, shipped, or loaded —
-through eight rule families:
+through seven rule families:
 
 * **tree** (``TREE0xx``): structural soundness of a fitted/deserialized
-  :class:`~repro.core.tree.m5.M5Prime` — feature indices, reachability,
-  leaf populations, coefficient sanity, serialization round trips.
+  :class:`~repro.core.tree.m5.M5Prime` — feature indices, leaf
+  populations, coefficient sanity, serialization round trips.
 * **dataset** (``DATA0xx``): section-dataset hygiene — non-finite
   values, constant/duplicate columns, per-instruction ratio bounds, the
   Table I event hierarchy, target outliers and leakage.
 * **compat** (``COMPAT0xx``): model vs. dataset — attribute name/order
   agreement, values inside the trained regime, finite predictions.
 * **cache** (``CACHE0xx``): artifact-cache integrity — entries without
-  checksum sidecars, checksum mismatches, quarantined entries.
+  checksum sidecars, checksum mismatches, quarantined entries; run over
+  the cache directory and over the model registry's directory.
 * **serve** (``SERVE0xx``): model-registry integrity — manifest
-  well-formedness, missing/corrupt blobs, manifest-vs-blob agreement,
-  registry entries whose feature set no longer matches the dataset.
-* **forest** (``FOREST0xx``): published-ensemble integrity — each
-  forest blob loaded with the one model loader and checked by the
-  static verifier: blobs that load as ``repro-forest`` documents with
-  sound member trees, arena offsets, refined leaf-weight vectors of the
-  right length with finite values, dead member trees, single-tree
-  forests.
+  well-formedness; every record's blob loaded with the read-only
+  loader and checked against its record, by the static verifier (trees
+  and forests alike) and against its stored certificate; aliases; and
+  entries whose feature set no longer matches the dataset.
 * **verify** (``VERIFY0xx``): static verification of the compiled tree
   arena (:mod:`repro.verify`) — structural well-formedness plus
-  interval abstract interpretation: dead branches, domain coverage,
-  bounded predictions.
+  interval abstract interpretation: dead branches (reachability),
+  domain coverage, bounded predictions.
 * **fastsim** (``FASTSIM0xx``): fastsim calibration-artifact audit —
-  schema and required keys, machine/workload fingerprint freshness,
-  residual-model and anchor-table integrity, fit-quality stats, and
-  feature-name agreement with the analytical layer, checked before the
-  fast engine is allowed to serve predictions from the artifact.
+  the artifact loads through ``Calibration.from_dict``, is fresh by
+  ``Calibration.staleness()``, and records a good enough fit, checked
+  before the fast engine is allowed to serve predictions from it.
 
 Usage::
 
@@ -65,7 +61,6 @@ from repro.lint.registry import (
     FAMILY_COMPAT,
     FAMILY_DATASET,
     FAMILY_FASTSIM,
-    FAMILY_FOREST,
     FAMILY_SERVE,
     FAMILY_TREE,
     FAMILY_VERIFY,
@@ -87,7 +82,6 @@ from repro.lint import data_rules as _data_rules  # noqa: F401
 from repro.lint import compat_rules as _compat_rules  # noqa: F401
 from repro.lint import cache_rules as _cache_rules  # noqa: F401
 from repro.lint import serve_rules as _serve_rules  # noqa: F401
-from repro.lint import forest_rules as _forest_rules  # noqa: F401
 from repro.lint import verify_rules as _verify_rules  # noqa: F401
 from repro.lint import fastsim_rules as _fastsim_rules  # noqa: F401
 
@@ -95,7 +89,6 @@ __all__ = [
     "ALL_FAMILIES",
     "FAMILY_CACHE",
     "FAMILY_FASTSIM",
-    "FAMILY_FOREST",
     "FAMILY_SERVE",
     "FAMILY_VERIFY",
     "Diagnostic",
@@ -114,7 +107,6 @@ __all__ = [
     "lint_calibration",
     "lint_compatibility",
     "lint_dataset",
-    "lint_forest",
     "lint_model",
     "lint_registry",
     "lint_verify",
@@ -141,11 +133,10 @@ def _resolve_families(
         available.append(FAMILY_DATASET)
     if model is not None and dataset is not None:
         available.append(FAMILY_COMPAT)
-    if cache_dir is not None:
+    if cache_dir is not None or registry_dir is not None:
         available.append(FAMILY_CACHE)
     if registry_dir is not None:
         available.append(FAMILY_SERVE)
-        available.append(FAMILY_FOREST)
     if model is not None:
         available.append(FAMILY_VERIFY)
     if calibration is not None:
@@ -156,9 +147,8 @@ def _resolve_families(
         FAMILY_TREE: "a model",
         FAMILY_DATASET: "a dataset",
         FAMILY_COMPAT: "both a model and a dataset",
-        FAMILY_CACHE: "a cache directory",
+        FAMILY_CACHE: "a cache directory or a registry directory",
         FAMILY_SERVE: "a registry directory",
-        FAMILY_FOREST: "a registry directory",
         FAMILY_VERIFY: "a model",
         FAMILY_FASTSIM: "a calibration artifact",
     }
@@ -193,9 +183,11 @@ def run_lint(
         cache_dir: An artifact-cache directory to audit (enables the
             cache family: missing checksums, mismatches, quarantine).
         registry_dir: A model-registry directory to audit (enables the
-            serve family: manifest integrity, blob checksums,
-            manifest-vs-blob agreement; with ``dataset``, feature-set
-            drift against the data).
+            serve family: manifest integrity, each record's blob loaded,
+            matched to its record, verified and checked against its
+            stored certificate; with ``dataset``, feature-set drift
+            against the data — and the cache family over the registry's
+            blobs).
         calibration: A fastsim calibration artifact to audit — the
             serialized payload dict or a path to the JSON file (enables
             the fastsim family; a file that fails to load is a
@@ -257,7 +249,11 @@ def run_lint(
 def lint_model(
     model: M5Prime, config: Optional[LintConfig] = None
 ) -> LintReport:
-    """Run the tree rules alone."""
+    """Run the tree rules alone.
+
+    Dead branches are the verifier's finding (VERIFY005), so this
+    reports none; ``run_lint(model=...)`` runs both families.
+    """
     return run_lint(model=model, config=config, families=(FAMILY_TREE,))
 
 
@@ -309,21 +305,13 @@ def lint_registry(
     dataset: Optional[Union[Dataset, Table]] = None,
     config: Optional[LintConfig] = None,
 ) -> LintReport:
-    """Run the model-registry (serve) rules alone.
+    """Run the model-registry audit alone: the serve rules, and the
+    cache rules over the registry's blobs.
 
     With ``dataset``, SERVE005 additionally checks every registry
     entry's feature set against the data it would be asked to score.
     """
     return run_lint(
         dataset=dataset, registry_dir=registry_dir, config=config,
-        families=(FAMILY_SERVE,),
-    )
-
-
-def lint_forest(
-    registry_dir: Path, config: Optional[LintConfig] = None
-) -> LintReport:
-    """Run the published-forest integrity (FOREST) rules alone."""
-    return run_lint(
-        registry_dir=registry_dir, config=config, families=(FAMILY_FOREST,),
+        families=(FAMILY_CACHE, FAMILY_SERVE),
     )

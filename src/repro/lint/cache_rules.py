@@ -5,6 +5,8 @@ a silently corrupted entry poisons results just as surely as a bad tree.
 The runtime defends itself — loads verify checksums and quarantine
 mismatches — but these rules let ``repro lint --cache-dir`` audit a
 cache *statically*: before a run trusts it, after an incident, or in CI.
+``repro lint --registry`` runs them over the registry directory too,
+which is an artifact cache of model blobs.
 
 * ``CACHE001`` (warning): an entry has no checksum sidecar, so loads
   cannot verify it (pre-hardening entry or stripped sidecar).
@@ -16,23 +18,32 @@ cache *statically*: before a run trusts it, after an incident, or in CI.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import Severity
 from repro.lint.registry import FAMILY_CACHE, rule
 
 if TYPE_CHECKING:
-    from repro.parallel.cache import ArtifactCache
+    from repro.parallel.cache import ArtifactCache, EntryStatus
 
 Finding = Tuple[str, str]
 
 
-def _cache(context: LintContext) -> "ArtifactCache":
+def _caches(context: LintContext) -> List["ArtifactCache"]:
+    """The artifact cache and the model registry under audit."""
     from repro.parallel.cache import ArtifactCache
 
-    assert context.cache_dir is not None
-    return ArtifactCache(context.cache_dir)
+    return [
+        ArtifactCache(directory)
+        for directory in (context.cache_dir, context.registry_dir)
+        if directory is not None
+    ]
+
+
+def _scan(context: LintContext) -> Iterator["EntryStatus"]:
+    for cache in _caches(context):
+        yield from cache.scan()
 
 
 @rule(
@@ -44,7 +55,7 @@ def _cache(context: LintContext) -> "ArtifactCache":
 def check_missing_checksums(context: LintContext) -> Iterator[Finding]:
     from repro.parallel.cache import STATUS_NO_CHECKSUM
 
-    for entry in _cache(context).scan():
+    for entry in _scan(context):
         if entry.status == STATUS_NO_CHECKSUM:
             yield (
                 f"cache entry {entry.name!r} has no checksum sidecar; "
@@ -63,7 +74,7 @@ def check_missing_checksums(context: LintContext) -> Iterator[Finding]:
 def check_checksum_mismatches(context: LintContext) -> Iterator[Finding]:
     from repro.parallel.cache import STATUS_MISMATCH
 
-    for entry in _cache(context).scan():
+    for entry in _scan(context):
         if entry.status == STATUS_MISMATCH:
             yield (
                 f"cache entry {entry.name!r} does not match its checksum "
@@ -80,15 +91,16 @@ def check_checksum_mismatches(context: LintContext) -> Iterator[Finding]:
     "a cache should have no quarantined entries",
 )
 def check_quarantined_entries(context: LintContext) -> Iterator[Finding]:
-    cache = _cache(context)
-    quarantined = cache._quarantined()
-    if quarantined:
+    for cache in _caches(context):
+        quarantined = cache._quarantined()
+        if not quarantined:
+            continue
         names = ", ".join(p.name for p in quarantined[:5])
         suffix = ", ..." if len(quarantined) > 5 else ""
         yield (
             f"{len(quarantined)} quarantined entr"
             f"{'y' if len(quarantined) == 1 else 'ies'} present "
             f"({names}{suffix}); past loads hit corruption — inspect "
-            "and delete them (`repro cache clear`)",
+            "them, then delete the quarantine directory",
             str(cache.quarantine_directory),
         )

@@ -27,20 +27,13 @@ class Severity(Enum):
     WARNING = "warning"
     ERROR = "error"
 
-    @property
-    def rank(self) -> int:
-        return {"info": 0, "warning": 1, "error": 2}[self.value]
-
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Diagnostic:
     """One finding from one rule.
 
     Attributes:
-        rule_id: Stable identifier of the emitting rule (``"TREE002"``).
+        rule_id: Stable identifier of the emitting rule (``"TREE001"``).
         severity: :class:`Severity` of this finding.
         message: Human-readable description of the defect.
         location: Where in the artifact the defect lives, e.g.
@@ -96,14 +89,6 @@ class LintReport:
     def by_rule(self, rule_id: str) -> List[Diagnostic]:
         """All findings emitted by one rule."""
         return [d for d in self.diagnostics if d.rule_id == rule_id]
-
-    def rule_ids(self) -> List[str]:
-        """Distinct rule ids with findings, in first-appearance order."""
-        seen: List[str] = []
-        for diagnostic in self.diagnostics:
-            if diagnostic.rule_id not in seen:
-                seen.append(diagnostic.rule_id)
-        return seen
 
     def exit_code(self, strict: bool = False) -> int:
         """The ``repro lint`` exit-code contract.

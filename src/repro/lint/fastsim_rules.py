@@ -5,32 +5,24 @@ it encodes which machine physics and which workload suite its anchors
 and residual tree were fitted against.  Serving predictions from a
 stale or corrupt calibration silently substitutes a *different*
 machine's CPI for the one being studied, so these rules audit the
-serialized artifact statically — before the engine loads it — the same
-payload :meth:`~repro.fastsim.calibration.Calibration.from_dict` would
-consume:
+serialized artifact before the engine loads it.  They report the checks
+the engine itself makes:
 
-* ``FASTSIM001`` (error): the artifact is unreadable, not valid JSON,
-  or not a JSON object.
-* ``FASTSIM002`` (error): the schema tag is not the current
-  :data:`~repro.fastsim.calibration.CALIBRATION_SCHEMA`, or a required
-  key is missing.
-* ``FASTSIM003`` (error): the machine fingerprint does not match the
-  current simulator physics — the calibration was fitted against a
-  different machine model.
-* ``FASTSIM004`` (error): the workload fingerprint does not match the
-  current suite — phases were added, removed, or reparameterized since
-  the fit.
-* ``FASTSIM005`` (error): the residual model does not deserialize to a
-  fitted M5' tree, or the anchor/nominal-correction tables are empty
-  or carry non-finite values.
+* ``FASTSIM001`` (error): the artifact does not load — the file is
+  unreadable or not valid JSON, or
+  :meth:`~repro.fastsim.calibration.Calibration.from_dict`, the one
+  parser, refuses it (a non-object, a wrong schema, a missing key, a
+  mistyped field, an empty or non-finite anchor or correction table, a
+  residual model that is not a fitted M5' tree).
+* ``FASTSIM003`` (error): one finding per
+  :meth:`~repro.fastsim.calibration.Calibration.staleness` problem
+  against the current machine and suite — a machine or workload
+  fingerprint mismatch, or stored feature names that differ from the
+  analytical layer's.  ``fast_suite`` refuses such an artifact.
 * ``FASTSIM006`` (warning): fit-quality stats are missing, or the
   recorded in-sample relative-error p95 exceeds
   ``LintConfig.calibration_rel_err`` — the artifact loads but its
   corrections are suspect.
-* ``FASTSIM007`` (error): the stored feature names disagree with the
-  analytical layer's current
-  :data:`~repro.fastsim.analytic.RESIDUAL_FEATURE_NAMES` — the tree
-  would be fed columns in the wrong order.
 """
 
 from __future__ import annotations
@@ -38,182 +30,75 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Tuple
 
+from repro.errors import ParseError
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import Severity
 from repro.lint.registry import FAMILY_FASTSIM, rule
 
+if TYPE_CHECKING:
+    from repro.fastsim.calibration import Calibration
+
 Finding = Tuple[str, str]
 
-#: Keys FASTSIM002 requires (mirrors ``Calibration.from_dict``).
-_REQUIRED_KEYS = (
-    "machine_fingerprint",
-    "workload_fingerprint",
-    "seed",
-    "n_samples",
-    "feature_names",
-    "anchors",
-    "nominal_corrections",
-    "model",
-)
 
-
-def _payload(
+def _load(
     context: LintContext,
-) -> Tuple[Optional[Dict[str, Any]], Optional[str], str]:
-    """The artifact dict, a load failure message, and a location string."""
+) -> Tuple[Optional["Calibration"], Optional[str], str]:
+    """The parsed artifact, or why it does not load; and a location."""
+    from repro.fastsim.calibration import Calibration
+
     source = context.calibration
     if isinstance(source, dict):
-        return source, None, "<calibration>"
-    location = str(source)
+        document: Any = source
+        location = "<calibration>"
+    else:
+        location = str(source)
+        try:
+            text = Path(location).read_text(encoding="utf-8")
+        except OSError as exc:
+            return None, f"calibration artifact is unreadable: {exc}", location
+        try:
+            document = json.loads(text)
+        except json.JSONDecodeError as exc:
+            return (
+                None, f"calibration artifact is not valid JSON: {exc}",
+                location,
+            )
     try:
-        text = Path(location).read_text(encoding="utf-8")
-    except OSError as exc:
-        return None, f"calibration artifact is unreadable: {exc}", location
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, f"calibration artifact is not valid JSON: {exc}", location
-    if not isinstance(document, dict):
-        return (
-            None,
-            "calibration artifact must be a JSON object, got "
-            f"{type(document).__name__}",
-            location,
-        )
-    return document, None, location
-
-
-def _schema_ok(document: Dict[str, Any]) -> bool:
-    from repro.fastsim.calibration import CALIBRATION_SCHEMA
-
-    return document.get("schema") == CALIBRATION_SCHEMA and not [
-        key for key in _REQUIRED_KEYS if key not in document
-    ]
+        return Calibration.from_dict(document), None, location
+    except ParseError as exc:
+        return None, str(exc), location
 
 
 @rule(
     "FASTSIM001",
     FAMILY_FASTSIM,
     Severity.ERROR,
-    "the calibration artifact must be a readable JSON object",
+    "the calibration artifact must load through Calibration.from_dict",
 )
 def check_artifact(context: LintContext) -> Iterator[Finding]:
-    _, failure, location = _payload(context)
+    _, failure, location = _load(context)
     if failure is not None:
         yield (failure, location)
-
-
-@rule(
-    "FASTSIM002",
-    FAMILY_FASTSIM,
-    Severity.ERROR,
-    "the artifact must carry the current schema and every required key",
-)
-def check_schema(context: LintContext) -> Iterator[Finding]:
-    from repro.fastsim.calibration import CALIBRATION_SCHEMA
-
-    document, _, location = _payload(context)
-    if document is None:
-        return
-    schema = document.get("schema")
-    if schema != CALIBRATION_SCHEMA:
-        yield (
-            f"calibration schema {schema!r} is not {CALIBRATION_SCHEMA!r}",
-            location,
-        )
-    missing = [key for key in _REQUIRED_KEYS if key not in document]
-    if missing:
-        yield (
-            "calibration artifact lacks required keys: " + ", ".join(missing),
-            location,
-        )
 
 
 @rule(
     "FASTSIM003",
     FAMILY_FASTSIM,
     Severity.ERROR,
-    "the machine fingerprint must match the current simulator physics",
+    "the calibration must be fresh for the current machine and suite",
 )
-def check_machine_fingerprint(context: LintContext) -> Iterator[Finding]:
-    from repro.fastsim.calibration import machine_fingerprint
-
-    document, _, location = _payload(context)
-    if document is None or not _schema_ok(document):
+def check_freshness(context: LintContext) -> Iterator[Finding]:
+    calibration, _, location = _load(context)
+    if calibration is None:
         return
-    current = machine_fingerprint()
-    stored = document["machine_fingerprint"]
-    if stored != current:
+    for problem in calibration.staleness():
         yield (
-            f"machine fingerprint {stored} does not match the current "
-            f"simulator physics {current}: recalibrate before running "
-            "the fast engine",
+            f"{problem}: recalibrate before running the fast engine",
             location,
         )
-
-
-@rule(
-    "FASTSIM004",
-    FAMILY_FASTSIM,
-    Severity.ERROR,
-    "the workload fingerprint must match the current suite",
-)
-def check_workload_fingerprint(context: LintContext) -> Iterator[Finding]:
-    from repro.workloads.suite import workload_fingerprint
-
-    document, _, location = _payload(context)
-    if document is None or not _schema_ok(document):
-        return
-    current = workload_fingerprint(None)
-    stored = document["workload_fingerprint"]
-    if stored != current:
-        yield (
-            f"workload fingerprint {stored} does not match the current "
-            f"suite {current}: phases changed since the fit",
-            location,
-        )
-
-
-@rule(
-    "FASTSIM005",
-    FAMILY_FASTSIM,
-    Severity.ERROR,
-    "the residual model and anchor tables must deserialize and be finite",
-)
-def check_model_and_anchors(context: LintContext) -> Iterator[Finding]:
-    from repro.core.tree.serialize import model_from_dict
-    from repro.errors import ParseError
-
-    document, _, location = _payload(context)
-    if document is None or not _schema_ok(document):
-        return
-    try:
-        model = model_from_dict(document["model"])
-    except ParseError as exc:
-        yield (f"residual model does not deserialize: {exc}", location)
-    else:
-        if getattr(model, "root_", None) is None:
-            yield ("residual model deserialized to an unfitted tree", location)
-    for table_name in ("anchors", "nominal_corrections"):
-        table = document[table_name]
-        if not isinstance(table, dict) or not table:
-            yield (f"{table_name} table is empty or not an object", location)
-            continue
-        bad = sorted(
-            str(key)
-            for key, value in table.items()
-            if not isinstance(value, (int, float))
-            or isinstance(value, bool)
-            or not math.isfinite(value)
-        )
-        if bad:
-            yield (
-                f"{table_name} table carries non-finite entries for phase "
-                "keys: " + ", ".join(bad),
-                location,
-            )
 
 
 @rule(
@@ -223,47 +108,22 @@ def check_model_and_anchors(context: LintContext) -> Iterator[Finding]:
     "fit-quality stats should exist and sit under the error bound",
 )
 def check_fit_quality(context: LintContext) -> Iterator[Finding]:
-    document, _, location = _payload(context)
-    if document is None or not _schema_ok(document):
+    calibration, _, location = _load(context)
+    if calibration is None:
         return
-    stats = document.get("stats")
-    if not isinstance(stats, dict) or "rel_err_p95" not in stats:
+    rel_err = calibration.stats.get("rel_err_p95")
+    bound = context.config.calibration_rel_err
+    if rel_err is None:
         yield (
             "calibration carries no fit-quality stats (rel_err_p95): "
             "its accuracy was never measured",
             location,
         )
-        return
-    rel_err = stats["rel_err_p95"]
-    bound = context.config.calibration_rel_err
-    if not isinstance(rel_err, (int, float)) or not math.isfinite(rel_err):
+    elif not math.isfinite(rel_err):
         yield (f"rel_err_p95 is not a finite number: {rel_err!r}", location)
     elif rel_err > bound:
         yield (
             f"in-sample relative-error p95 {rel_err:.4f} exceeds "
             f"{bound:.4f}: the calibration fits its own sweep poorly",
-            location,
-        )
-
-
-@rule(
-    "FASTSIM007",
-    FAMILY_FASTSIM,
-    Severity.ERROR,
-    "stored feature names must match the analytical layer",
-)
-def check_feature_names(context: LintContext) -> Iterator[Finding]:
-    from repro.fastsim.analytic import RESIDUAL_FEATURE_NAMES
-
-    document, _, location = _payload(context)
-    if document is None or not _schema_ok(document):
-        return
-    stored = tuple(str(name) for name in document["feature_names"])
-    if stored != RESIDUAL_FEATURE_NAMES:
-        yield (
-            f"stored feature names ({len(stored)}) disagree with the "
-            f"analytical layer's RESIDUAL_FEATURE_NAMES "
-            f"({len(RESIDUAL_FEATURE_NAMES)}): the residual tree would "
-            "be fed columns in the wrong order",
             location,
         )

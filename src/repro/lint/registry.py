@@ -18,18 +18,17 @@ from repro.errors import LintError
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import Diagnostic, Severity
 
-#: The eight rule families, in the order they run.
+#: The seven rule families, in the order they run.
 FAMILY_TREE = "tree"
 FAMILY_DATASET = "dataset"
 FAMILY_COMPAT = "compat"
 FAMILY_CACHE = "cache"
 FAMILY_SERVE = "serve"
-FAMILY_FOREST = "forest"
 FAMILY_VERIFY = "verify"
 FAMILY_FASTSIM = "fastsim"
 ALL_FAMILIES: Tuple[str, ...] = (
     FAMILY_TREE, FAMILY_DATASET, FAMILY_COMPAT, FAMILY_CACHE, FAMILY_SERVE,
-    FAMILY_FOREST, FAMILY_VERIFY, FAMILY_FASTSIM,
+    FAMILY_VERIFY, FAMILY_FASTSIM,
 )
 
 Finding = Union[Diagnostic, Tuple[str, str]]

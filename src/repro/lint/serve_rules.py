@@ -2,37 +2,42 @@
 
 A registry entry is a promise — ``cpi-tree@latest`` resolves to a model
 whose bytes, schema, and feature set are what the manifest says.  These
-rules audit that promise statically (``repro lint --registry``), without
-loading models or triggering the runtime's quarantine machinery, so the
-check is safe to run against a live serving registry:
+rules audit that promise statically (``repro lint --registry``).  They
+load each recorded blob with the read-only loader
+(:func:`repro.core.tree.serialize.load_model`) and never trigger the
+runtime's quarantine machinery, so the check is safe to run against a
+live serving registry.  Each check lives in the module that reads the
+artifact; the rules report it:
 
 * ``SERVE001`` (error): the manifest itself is unreadable or not a
   ``repro-registry/1`` document — nothing can resolve.
-* ``SERVE002`` (error): a manifest record points at a blob file that
-  does not exist (half-deleted registry, manual cleanup gone wrong).
-* ``SERVE003`` (error): a blob's bytes disagree with its ``.sha256``
-  sidecar — the corruption ``resolve`` would quarantine.
-* ``SERVE004`` (error): the blob's model document disagrees with the
-  manifest record (attributes or target) — the manifest was edited or
-  the blob swapped; whichever, the registry lies about what it serves.
+* ``SERVE002`` (error, or the verifier's severity): a manifest record
+  does not resolve to the artifact it describes — its blob is missing
+  or does not load; the loaded model disagrees with the record on kind,
+  attributes or target; :func:`repro.verify.verify_model` reports a
+  finding (its id and any ``tree[i]`` location lead the message); or
+  the stored certificate is unreadable or disagrees with the
+  recomputed one (:meth:`~repro.serve.registry.ModelRegistry.\
+check_certificate`, the comparison preflight makes).
 * ``SERVE005`` (error, needs ``--data``): an entry's feature set does
   not match the dataset's columns — the schema drifted since publish
   and ``/predict`` requests built from this dataset would be refused
   (or worse, silently misaligned by order).
-* ``SERVE006`` (warning): quarantined blobs are present — past resolves
-  already hit corruption worth investigating.
 * ``SERVE007`` (warning): an alias points at a version the manifest no
   longer records, so ``name@alias`` cannot resolve.
+
+Blob bytes against their ``.sha256`` sidecars, and quarantined blobs,
+are the CACHE family's findings: ``--registry`` runs it over the
+registry directory, which is an artifact cache.
 """
 
 from __future__ import annotations
 
-import json
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
-from repro.errors import RegistryError
+from repro.errors import RegistryError, ReproError
 from repro.lint.context import LintContext
-from repro.lint.diagnostics import Severity
+from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import FAMILY_SERVE, rule
 
 if TYPE_CHECKING:
@@ -71,100 +76,74 @@ def check_manifest(context: LintContext) -> Iterator[Finding]:
         yield (failure, str(registry.manifest_path))
 
 
+def _audit_record(
+    registry: "ModelRegistry", record: "ModelRecord"
+) -> Iterator[Union[Finding, Diagnostic]]:
+    """Every way one record fails to resolve to what it describes."""
+    from repro.core.tree.serialize import load_model
+    from repro.verify import verify_model
+
+    spec = record.spec
+    path = registry.directory / record.blob
+    if not path.exists():
+        yield (
+            f"{spec}: blob {record.blob!r} is missing from the registry "
+            "directory; the version cannot resolve — republish it",
+            spec,
+        )
+        return
+    try:
+        model = load_model(path)
+    except (ReproError, OSError) as exc:
+        yield (
+            f"{spec}: blob {record.blob!r} does not load ({exc}); "
+            "republish the model",
+            spec,
+        )
+        return
+    kind = "forest" if hasattr(model, "estimators_") else "tree"
+    for field, recorded, carried in (
+        ("kind", record.kind, kind),
+        ("attributes", list(record.attributes), list(model.attributes_)),
+        ("target", record.target, model.target_name_),
+    ):
+        if carried != recorded:
+            yield (
+                f"{spec}: manifest records {field} {recorded!r} but the "
+                f"blob carries {carried!r}; the manifest no longer "
+                "describes the stored model",
+                spec,
+            )
+    result = verify_model(model)
+    for diagnostic in result.diagnostics:
+        where = f"{diagnostic.location}: " if diagnostic.location else ""
+        yield Diagnostic(
+            rule_id="SERVE002",
+            severity=diagnostic.severity,
+            message=(
+                f"{spec}: {where}{diagnostic.rule_id} {diagnostic.message}"
+            ),
+            location=spec,
+        )
+    try:
+        registry.check_certificate(record, result.certificate)
+    except RegistryError as exc:
+        yield (str(exc), spec)
+
+
 @rule(
     "SERVE002",
     FAMILY_SERVE,
     Severity.ERROR,
-    "every manifest record must point at an existing blob",
+    "every manifest record must resolve to a sound artifact it describes",
 )
-def check_missing_blobs(context: LintContext) -> Iterator[Finding]:
+def check_records(
+    context: LintContext,
+) -> Iterator[Union[Finding, Diagnostic]]:
     registry = _registry(context)
-    records, failure = _records(registry)
-    if failure is not None:
-        return
+    records, _ = _records(registry)
     for record in records:
-        if not (registry.directory / record.blob).exists():
-            yield (
-                f"{record.spec}: blob {record.blob!r} is missing from the "
-                "registry directory; the version cannot resolve — "
-                "republish it",
-                record.spec,
-            )
-
-
-@rule(
-    "SERVE003",
-    FAMILY_SERVE,
-    Severity.ERROR,
-    "registry blobs must match their checksum sidecars",
-)
-def check_blob_integrity(context: LintContext) -> Iterator[Finding]:
-    registry = _registry(context)
-    records, failure = _records(registry)
-    if failure is not None:
-        return
-    for record in records:
-        blob = registry.directory / record.blob
-        if blob.exists() and not registry.cache._verify(blob):
-            yield (
-                f"{record.spec}: blob {record.blob!r} does not match its "
-                "checksum sidecar — resolving it would quarantine the "
-                "blob and fail; republish the model",
-                record.spec,
-            )
-
-
-@rule(
-    "SERVE004",
-    FAMILY_SERVE,
-    Severity.ERROR,
-    "blob documents must agree with their manifest records",
-)
-def check_record_blob_agreement(context: LintContext) -> Iterator[Finding]:
-    registry = _registry(context)
-    records, failure = _records(registry)
-    if failure is not None:
-        return
-    for record in records:
-        blob = registry.directory / record.blob
-        if not blob.exists():
-            continue
-        try:
-            with open(blob, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            yield (
-                f"{record.spec}: blob {record.blob!r} is not valid JSON "
-                f"({exc}); republish the model",
-                record.spec,
-            )
-            continue
-        if not isinstance(document, dict):
-            yield (
-                f"{record.spec}: blob {record.blob!r} is not a model "
-                "document",
-                record.spec,
-            )
-            continue
-        blob_attributes = tuple(
-            str(a) for a in document.get("attributes", ())
-        )
-        if blob_attributes != record.attributes:
-            yield (
-                f"{record.spec}: manifest records attributes "
-                f"{list(record.attributes)} but the blob carries "
-                f"{list(blob_attributes)}; the manifest no longer "
-                "describes the stored model",
-                record.spec,
-            )
-        blob_target = document.get("target")
-        if blob_target != record.target:
-            yield (
-                f"{record.spec}: manifest records target "
-                f"{record.target!r} but the blob predicts "
-                f"{blob_target!r}",
-                record.spec,
-            )
+        yield from _audit_record(registry, record)
 
 
 @rule(
@@ -177,9 +156,7 @@ def check_dataset_schema(context: LintContext) -> Iterator[Finding]:
     if context.dataset is None:
         return
     registry = _registry(context)
-    records, failure = _records(registry)
-    if failure is not None:
-        return
+    records, _ = _records(registry)
     columns = tuple(context.dataset.attributes)
     for record in records:
         if record.attributes == columns:
@@ -200,27 +177,6 @@ def check_dataset_schema(context: LintContext) -> Iterator[Finding]:
             f"{record.spec}: feature set no longer matches the dataset "
             f"({detail}); retrain and republish before serving this data",
             record.spec,
-        )
-
-
-@rule(
-    "SERVE006",
-    FAMILY_SERVE,
-    Severity.WARNING,
-    "a registry should have no quarantined blobs",
-)
-def check_quarantine(context: LintContext) -> Iterator[Finding]:
-    registry = _registry(context)
-    quarantined = registry.cache._quarantined()
-    if quarantined:
-        names = ", ".join(p.name for p in quarantined[:5])
-        suffix = ", ..." if len(quarantined) > 5 else ""
-        yield (
-            f"{len(quarantined)} quarantined blob"
-            f"{'' if len(quarantined) == 1 else 's'} present "
-            f"({names}{suffix}); past resolves hit corruption — "
-            "republish the affected versions and delete the quarantine",
-            str(registry.cache.quarantine_directory),
         )
 
 

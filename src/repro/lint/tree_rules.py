@@ -6,6 +6,11 @@ tree — split variables answer "what", leaf-model coefficients answer
 explanations.  These rules walk every node of a fitted
 :class:`~repro.core.tree.m5.M5Prime` and check the properties a correct
 grow/prune/serialize pipeline guarantees.
+
+Dead branches are not a tree rule: the verifier reports each maximal
+dead subtree as VERIFY005 (:mod:`repro.lint.verify_rules`), against the
+training domain and the Table I counter invariants as well as the
+thresholds on its path.
 """
 
 from __future__ import annotations
@@ -16,12 +21,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from repro.core.tree.m5 import M5Prime
-from repro.core.tree.node import (
-    Bounds,
-    Node,
-    SplitNode,
-    is_empty_bounds,
-)
+from repro.core.tree.node import Node, SplitNode
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import Severity
 from repro.lint.registry import FAMILY_TREE, rule
@@ -63,39 +63,6 @@ def split_feature_in_range(ctx: LintContext) -> Iterator[Finding]:
                 f"{node.attribute_index} is {names[node.attribute_index]!r}",
                 _split_location(node),
             )
-
-
-def _unreachable_roots(node: Node, bounds: Bounds) -> Iterator[Node]:
-    """Maximal subtrees no instance can reach (contradictory thresholds)."""
-    if is_empty_bounds(bounds):
-        yield node
-        return
-    if isinstance(node, SplitNode):
-        index = node.attribute_index
-        low, high = bounds.get(index, (float("-inf"), float("inf")))
-        left = dict(bounds)
-        left[index] = (low, min(high, node.threshold))
-        right = dict(bounds)
-        right[index] = (max(low, node.threshold), high)
-        yield from _unreachable_roots(node.left, left)
-        yield from _unreachable_roots(node.right, right)
-
-
-@rule(
-    "TREE002",
-    FAMILY_TREE,
-    Severity.ERROR,
-    "no branch is made unreachable by contradictory thresholds on its path",
-)
-def unreachable_branch(ctx: LintContext) -> Iterator[Finding]:
-    model = ctx.model
-    assert model is not None and model.root_ is not None
-    for node in _unreachable_roots(model.root_, {}):
-        yield (
-            "unreachable branch: the thresholds along its root path admit "
-            "no instance",
-            _node_location(node),
-        )
 
 
 @rule(

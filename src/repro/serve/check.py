@@ -123,9 +123,8 @@ def _check_verify(
     registry: ModelRegistry, model, record: "ModelRecord"
 ) -> CheckResult:
     """Static verification of the resolved artifact, plus certificate
-    agreement: a stored certificate must match what the verifier
-    recomputes from the blob — a mismatch means the artifact or its
-    certificate was modified after publish."""
+    agreement (:meth:`ModelRegistry.check_certificate`, the check
+    ``repro lint --registry`` reports as SERVE002)."""
     result = verify_model(model)
     if not result.ok:
         findings = "; ".join(d.render() for d in result.diagnostics[:3])
@@ -135,16 +134,9 @@ def _check_verify(
             f"{findings}"
         )
     try:
-        stored = registry.load_certificate(record)
+        stored = registry.check_certificate(record, result.certificate)
     except ReproError as exc:
-        return CheckResult("verify", False, f"{record.spec}: {exc}")
-    if stored is not None and stored != result.certificate:
-        return CheckResult(
-            "verify", False,
-            f"{record.spec}: stored certificate {record.certificate!r} "
-            "disagrees with the recomputed one; the blob or certificate "
-            "changed after publish — republish the model"
-        )
+        return CheckResult("verify", False, str(exc))
     if result.certificate is not None:
         detail = (
             f"{record.spec}: verified; certified output in "

@@ -141,10 +141,6 @@ class Gauge(_Metric):
         with self._lock:
             self._values[self._key(labels)] = float(value)
 
-    def value(self, *labels: str) -> float:
-        with self._lock:
-            return self._values.get(self._key(labels), 0.0)
-
     def render(self) -> List[str]:
         with self._lock:
             items = sorted(self._values.items())

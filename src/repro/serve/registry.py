@@ -31,8 +31,11 @@ created with :meth:`ModelRegistry.alias`.
 
 A blob that fails its checksum or no longer parses is quarantined by the
 cache on load; ``resolve`` then raises :class:`~repro.errors.RegistryError`
-telling the operator to republish, and ``repro lint --registry`` reports
-the damage statically (the SERVE rule family).
+telling the operator to republish.  ``repro lint --registry`` reports the
+same damage without quarantining anything: the CACHE rule family checks
+the blobs against their sidecars, and SERVE002 loads each recorded blob
+with the read-only loader, runs the verifier and compares the stored
+certificate through :meth:`ModelRegistry.check_certificate`.
 """
 
 from __future__ import annotations
@@ -300,6 +303,29 @@ class ModelRegistry:
                 f"{record.spec}: certificate {record.certificate!r} is "
                 f"malformed ({exc}); republish the model"
             ) from None
+
+    def check_certificate(
+        self,
+        record: ModelRecord,
+        recomputed: Optional["VerificationCertificate"],
+    ) -> Optional["VerificationCertificate"]:
+        """The stored certificate, checked against the recomputed one.
+
+        ``recomputed`` is what :func:`repro.verify.verify_model` issues
+        for the resolved blob.  Raises
+        :class:`~repro.errors.RegistryError` when the stored file is
+        unreadable or malformed (see :meth:`load_certificate`) or
+        disagrees with ``recomputed`` — the blob or the certificate
+        changed after publish.
+        """
+        stored = self.load_certificate(record)
+        if stored is not None and stored != recomputed:
+            raise RegistryError(
+                f"{record.spec}: stored certificate {record.certificate!r} "
+                "disagrees with the recomputed one; the blob or certificate "
+                "changed after publish — republish the model"
+            )
+        return stored
 
     def alias(self, name: str, alias: str, version: Optional[int] = None) -> None:
         """Point ``name@alias`` at a version (default: current latest)."""

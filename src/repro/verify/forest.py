@@ -9,10 +9,10 @@ full single-tree verifier over every member, with findings located
 refined weights.  Callers reach it through
 :func:`repro.verify.verify_model`, which accepts trees and forests.
 
-The forest findings carry the FOREST00x ids; the lint family
-(:mod:`repro.lint.forest_rules`) reports these same findings over a
-registry blob, so an operator sees one vocabulary whether the problem
-surfaced at publish time or in a registry audit:
+The forest findings carry the FOREST00x ids; ``repro lint --registry``
+reports these same findings over a registry blob as SERVE002, with the
+FOREST id leading the message, so an operator sees one vocabulary
+whether the problem surfaced at publish time or in a registry audit:
 
 =========  ========  ====================================================
 id         severity  meaning

@@ -71,7 +71,7 @@ class TestCalibrate:
         # The tiny fit was stored under the default-suite key but its
         # *content* names the tiny suite: lint flags the mismatch.
         assert main(["lint", "--calibration", str(artifact)]) != 0
-        assert "FASTSIM004" in capsys.readouterr().out
+        assert "FASTSIM003" in capsys.readouterr().out
 
     def test_publish_to_registry(self, seeded_cache, tmp_path, capsys):
         registry = tmp_path / "registry"

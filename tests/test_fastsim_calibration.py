@@ -156,3 +156,99 @@ class TestStorage:
         store_calibration(cache, small_calibration, profiles=fast_profiles)
         served = get_calibration(cache, profiles=fast_profiles, seed=7)
         assert served.digest == small_calibration.digest
+
+
+class TestParserRefusesMalformedFields:
+    """``Calibration.from_dict`` is the one parser: every malformed field
+    is a ``ParseError``, which ``load_calibration`` turns into a miss."""
+
+    @pytest.mark.parametrize(
+        "bad", [None, "abc", "0.1", float("nan"), float("inf")]
+    )
+    def test_bad_anchor(self, small_calibration, bad):
+        payload = small_calibration.to_dict()
+        key = next(iter(payload["anchors"]))
+        payload["anchors"][key] = bad
+        with pytest.raises(ParseError, match=key):
+            Calibration.from_dict(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("anchors", {}),
+        ("nominal_corrections", {}),
+        ("seed", "x"),
+        ("n_samples", True),
+        ("stats", None),
+        ("feature_names", "LoadFrac"),
+        ("machine_fingerprint", 7),
+        ("model", {"format": "repro-m5prime", "version": 1}),
+    ])
+    def test_bad_field(self, small_calibration, field, value):
+        payload = small_calibration.to_dict()
+        payload[field] = value
+        with pytest.raises(ParseError, match=field):
+            Calibration.from_dict(payload)
+
+    def test_forest_residual_model(self, small_calibration):
+        from repro.baselines import BaggedM5
+        from repro.core.tree.serialize import model_to_dict
+        from repro.datasets.synthetic import figure1_dataset
+
+        forest = BaggedM5(n_estimators=2, min_instances=20, seed=1).fit(
+            figure1_dataset(n=60, rng=3)
+        )
+        payload = small_calibration.to_dict()
+        payload["model"] = model_to_dict(forest)
+        with pytest.raises(ParseError, match="residual model"):
+            Calibration.from_dict(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("anchors", None),
+        ("seed", "x"),
+        ("stats", None),
+    ])
+    def test_load_calibration_misses_on_a_malformed_payload(
+        self, tmp_path, small_calibration, fast_profiles, field, value
+    ):
+        from repro.fastsim.calibration import _cache_key
+
+        payload = small_calibration.to_dict()
+        if field == "anchors":
+            key = next(iter(payload["anchors"]))
+            payload["anchors"][key] = value
+        else:
+            payload[field] = value
+        cache = ArtifactCache(tmp_path)
+        cache.store_json(_cache_key(None, fast_profiles, 7), payload)
+        assert load_calibration(cache, profiles=fast_profiles, seed=7) is None
+
+
+class TestFeatureNamesAreFreshness:
+    @pytest.fixture()
+    def swapped(self, small_calibration):
+        """Fresh for the default suite except for swapped feature names."""
+        names = list(RESIDUAL_FEATURE_NAMES)
+        names[0], names[1] = names[1], names[0]
+        return dataclasses.replace(
+            small_calibration,
+            anchors={phase_key(p): 0.0 for p in suite_phases()},
+            workload_fingerprint=workload_fingerprint(None),
+            feature_names=tuple(names),
+        )
+
+    def test_staleness_reports_the_names(self, swapped):
+        (problem,) = swapped.staleness()
+        assert "feature names" in problem
+
+    def test_fast_suite_refuses(self, swapped, fast_profiles):
+        from repro.fastsim import fast_suite
+
+        with pytest.raises(StaleCalibrationError, match="feature names"):
+            fast_suite(fast_profiles, sections_per_workload=2,
+                       calibration=swapped)
+
+    def test_run_fastsim_reports_fast001_once(self, swapped):
+        from repro.conformance import run_fastsim
+
+        report = run_fastsim(seed=7, calibration=swapped)
+        assert [d.rule_id for d in report.diagnostics] == ["FAST001"]
+        assert "feature names" in report.diagnostics[0].message

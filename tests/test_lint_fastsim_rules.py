@@ -1,4 +1,10 @@
-"""The FASTSIM lint family: calibration artifacts, good and broken."""
+"""The FASTSIM lint family: calibration artifacts, good and broken.
+
+FASTSIM001 reports ``Calibration.from_dict``'s refusals, FASTSIM003 the
+``staleness()`` problems and FASTSIM006 the fit quality; the cases that
+checked the retired ids (FASTSIM002, 004, 005, 007) assert the id that
+reports their finding now.
+"""
 
 import json
 
@@ -69,20 +75,21 @@ class TestSchema:
     def test_wrong_schema_tag(self, clean_payload):
         clean_payload["schema"] = "repro-fastsim-calibration/0"
         report = lint_calibration(clean_payload, LAX)
-        assert rule_ids(report) == ["FASTSIM002"]
+        assert rule_ids(report) == ["FASTSIM001"]
+        assert report.exit_code() == 2
 
     def test_missing_required_key(self, clean_payload):
         del clean_payload["anchors"]
         report = lint_calibration(clean_payload, LAX)
-        assert rule_ids(report) == ["FASTSIM002"]
+        assert rule_ids(report) == ["FASTSIM001"]
         assert "anchors" in report.diagnostics[0].message
 
     def test_schema_failure_gates_the_content_rules(self, clean_payload):
-        # A document that fails FASTSIM002 must not cascade into
-        # crashes or noise from the content rules.
+        # A document that does not load must not cascade into crashes
+        # or noise from the freshness and quality rules.
         del clean_payload["model"]
         clean_payload["machine_fingerprint"] = "bogus"
-        assert rule_ids(lint_calibration(clean_payload, LAX)) == ["FASTSIM002"]
+        assert rule_ids(lint_calibration(clean_payload, LAX)) == ["FASTSIM001"]
 
 
 class TestFingerprints:
@@ -91,12 +98,14 @@ class TestFingerprints:
         report = lint_calibration(clean_payload, LAX)
         assert rule_ids(report) == ["FASTSIM003"]
         assert "recalibrate" in report.diagnostics[0].message
+        assert report.exit_code() == 2
 
     def test_workload_mismatch(self, clean_payload):
         clean_payload["workload_fingerprint"] = "0" * 16
         report = lint_calibration(clean_payload, LAX)
-        assert rule_ids(report) == ["FASTSIM004"]
+        assert rule_ids(report) == ["FASTSIM003"]
         assert "suite" in report.diagnostics[0].message
+        assert report.exit_code() == 2
 
     def test_raw_small_calibration_is_stale_for_the_default_suite(
         self, small_calibration
@@ -104,20 +113,22 @@ class TestFingerprints:
         # Without the fingerprint rewrite the artifact is exactly what
         # these rules exist to catch: same machine, different suite.
         report = lint_calibration(small_calibration.to_dict(), LAX)
-        assert rule_ids(report) == ["FASTSIM004"]
+        assert rule_ids(report) == ["FASTSIM003"]
+        assert "workload fingerprint" in report.diagnostics[0].message
 
 
 class TestModelAndAnchors:
     def test_model_fails_to_deserialize(self, clean_payload):
         clean_payload["model"] = {"schema": "not-a-tree"}
         report = lint_calibration(clean_payload, LAX)
-        assert rule_ids(report) == ["FASTSIM005"]
+        assert rule_ids(report) == ["FASTSIM001"]
         assert "deserialize" in report.diagnostics[0].message
+        assert report.exit_code() == 2
 
     def test_empty_anchor_table(self, clean_payload):
         clean_payload["anchors"] = {}
         report = lint_calibration(clean_payload, LAX)
-        assert rule_ids(report) == ["FASTSIM005"]
+        assert rule_ids(report) == ["FASTSIM001"]
         assert "empty" in report.diagnostics[0].message
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.1", None])
@@ -125,12 +136,12 @@ class TestModelAndAnchors:
         key = next(iter(clean_payload["anchors"]))
         clean_payload["anchors"] = dict(clean_payload["anchors"], **{key: bad})
         report = lint_calibration(clean_payload, LAX)
-        assert rule_ids(report) == ["FASTSIM005"]
+        assert rule_ids(report) == ["FASTSIM001"]
         assert key in report.diagnostics[0].message
 
     def test_broken_nominal_corrections(self, clean_payload):
         clean_payload["nominal_corrections"] = {"k": float("nan")}
-        assert rule_ids(lint_calibration(clean_payload, LAX)) == ["FASTSIM005"]
+        assert rule_ids(lint_calibration(clean_payload, LAX)) == ["FASTSIM001"]
 
 
 class TestFitQuality:
@@ -169,12 +180,13 @@ class TestFeatureNames:
         names[0], names[1] = names[1], names[0]
         clean_payload["feature_names"] = names
         report = lint_calibration(clean_payload, LAX)
-        assert rule_ids(report) == ["FASTSIM007"]
+        assert rule_ids(report) == ["FASTSIM003"]
         assert "wrong order" in report.diagnostics[0].message
+        assert report.exit_code() == 2
 
     def test_truncated_features_rejected(self, clean_payload):
         clean_payload["feature_names"] = clean_payload["feature_names"][:-1]
-        assert rule_ids(lint_calibration(clean_payload, LAX)) == ["FASTSIM007"]
+        assert rule_ids(lint_calibration(clean_payload, LAX)) == ["FASTSIM003"]
 
 
 class TestFamilySelection:

@@ -1,4 +1,10 @@
-"""The FOREST00x lint family: published-forest integrity auditing."""
+"""Published-forest integrity: SERVE002 over ``kind: forest`` blobs.
+
+SERVE002 loads each forest blob with the one model loader and reports
+every :func:`repro.verify.verify_model` finding, the verifier's FOREST
+or VERIFY id leading the message.  The case names keep the retired
+FOREST00x lint ids of the findings they check.
+"""
 
 import hashlib
 import json
@@ -7,7 +13,7 @@ import pytest
 
 from repro.baselines import BaggedM5
 from repro.datasets.synthetic import figure1_dataset
-from repro.lint import FAMILY_FOREST, lint_forest, run_lint
+from repro.lint import FAMILY_SERVE, lint_registry, run_lint
 from repro.lint.diagnostics import Severity
 from repro.serve.refine import RefinedForest
 from repro.serve.registry import ModelRegistry
@@ -32,17 +38,20 @@ def _rule_ids(report):
     return sorted({d.rule_id for d in report.diagnostics})
 
 
-def _errors(report, rule_id):
-    """The messages of a rule's findings, each of them an ERROR."""
-    found = [d for d in report.diagnostics if d.rule_id == rule_id]
+def _errors(report, verifier_id=""):
+    """The SERVE002 ERROR messages that name ``verifier_id``."""
+    found = [
+        d.message for d in report.diagnostics
+        if d.rule_id == "SERVE002" and d.severity is Severity.ERROR
+        and verifier_id in d.message
+    ]
     assert found, report.diagnostics
-    assert all(d.severity is Severity.ERROR for d in found)
-    return [d.message for d in found]
+    return found
 
 
 def _edit_blob(registry, mutate):
-    """Rewrite the forest blob (and its checksum, so SERVE003 stays
-    quiet and the FOREST rules own the finding)."""
+    """Rewrite the forest blob (and its checksum, so CACHE002 stays
+    quiet and SERVE002 owns the finding)."""
     record = registry.records()[0]
     blob = registry.directory / record.blob
     document = json.loads(blob.read_text())
@@ -55,25 +64,29 @@ def _edit_blob(registry, mutate):
 
 class TestForestRules:
     def test_clean_forest_registry_is_clean(self, registry):
-        report = lint_forest(registry.directory)
+        report = lint_registry(registry.directory)
         assert report.diagnostics == []
         assert report.exit_code(strict=True) == 0
 
     def test_run_lint_includes_forest_family(self, registry):
+        # Forest blobs are audited by the serve family's SERVE002.
         report = run_lint(registry_dir=registry.directory)
-        assert FAMILY_FOREST in report.families
+        assert FAMILY_SERVE in report.families
+        assert report.diagnostics == []
 
     def test_tree_only_registry_yields_no_findings(self, tmp_path,
                                                    suite_tree):
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish("cpi-tree", suite_tree)
-        report = lint_forest(registry.directory)
+        report = lint_registry(registry.directory)
         assert report.diagnostics == []
 
     def test_format_mismatch_errors_forest001(self, registry):
         _edit_blob(registry, lambda d: d.update(format="repro-m5prime"))
-        report = lint_forest(registry.directory)
-        assert "FOREST001" in _rule_ids(report)
+        report = lint_registry(registry.directory)
+        assert _rule_ids(report) == ["SERVE002"]
+        assert any("does not load" in m for m in _errors(report))
+        assert report.exit_code(strict=False) == 2
 
     def test_unreadable_blob_errors_forest001(self, registry):
         record = registry.records()[0]
@@ -82,16 +95,16 @@ class TestForestRules:
         registry.cache.checksum_path(blob).write_text(
             hashlib.sha256(blob.read_bytes()).hexdigest() + "\n"
         )
-        report = lint_forest(registry.directory)
-        assert _rule_ids(report) == ["FOREST001"]
+        report = lint_registry(registry.directory)
+        assert _rule_ids(report) == ["SERVE002"]
+        assert report.exit_code(strict=False) == 2
 
     def test_tree_count_lie_errors_forest001(self, registry):
-        # The loader refuses the document, so FOREST001 owns the lie.
+        # The loader refuses the document, so SERVE002 owns the lie.
         _edit_blob(registry, lambda d: d.update(n_trees=9))
-        report = lint_forest(registry.directory)
-        assert any(
-            "tree-count mismatch" in m for m in _errors(report, "FOREST001")
-        )
+        report = lint_registry(registry.directory)
+        assert any("tree-count mismatch" in m for m in _errors(report))
+        assert report.exit_code(strict=False) == 2
 
     def test_refined_length_mismatch_errors_forest001(self, registry):
         def truncate(document):
@@ -100,10 +113,9 @@ class TestForestRules:
             )
 
         _edit_blob(registry, truncate)
-        report = lint_forest(registry.directory)
-        assert any(
-            "offset mismatch" in m for m in _errors(report, "FOREST001")
-        )
+        report = lint_registry(registry.directory)
+        assert any("offset mismatch" in m for m in _errors(report))
+        assert report.exit_code(strict=False) == 2
 
     def test_nonfinite_weight_errors_forest004(self, registry):
         def poison(document):
@@ -111,8 +123,10 @@ class TestForestRules:
             document["refined"]["weights"][index] = float("nan")
 
         _edit_blob(registry, poison)
-        report = lint_forest(registry.directory)
-        assert "FOREST004" in _rule_ids(report)
+        report = lint_registry(registry.directory)
+        assert _rule_ids(report) == ["SERVE002"]
+        assert _errors(report, "FOREST004")
+        assert report.exit_code(strict=False) == 2
 
     def test_dead_tree_warns_forest005(self, registry, fitted_forest):
         compiled = fitted_forest.compiled_
@@ -124,11 +138,12 @@ class TestForestRules:
                 document["refined"]["active"][column] = 0
 
         _edit_blob(registry, kill_tree)
-        report = lint_forest(registry.directory)
-        assert "FOREST005" in _rule_ids(report)
+        report = lint_registry(registry.directory)
+        assert _rule_ids(report) == ["SERVE002"]
         finding = next(
-            d for d in report.diagnostics if d.rule_id == "FOREST005"
+            d for d in report.diagnostics if "FOREST005" in d.message
         )
+        assert finding.severity is Severity.WARNING
         assert "tree[0]" in finding.message
         assert report.exit_code(strict=False) == 0  # warning, not error
 
@@ -137,8 +152,9 @@ class TestForestRules:
         solo = BaggedM5(n_estimators=1, min_instances=30, seed=1).fit(data)
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish("solo-forest", solo)
-        report = lint_forest(registry.directory)
-        assert _rule_ids(report) == ["FOREST006"]
+        report = lint_registry(registry.directory)
+        assert _rule_ids(report) == ["SERVE002"]
+        assert "FOREST006" in report.diagnostics[0].message
         assert report.exit_code(strict=False) == 0
         assert report.exit_code(strict=True) == 1
 
@@ -152,7 +168,7 @@ class TestForestRulesRunTheVerifier:
             document["refined"]["active"] = [0] * len(active)
 
         _edit_blob(registry, prune_all)
-        report = lint_forest(registry.directory)
+        report = lint_registry(registry.directory)
         assert any(
             "every refined leaf is pruned" in m
             for m in _errors(report, "FOREST003")
@@ -167,11 +183,8 @@ class TestForestRulesRunTheVerifier:
             node["model"]["intercept"] = float("nan")
 
         _edit_blob(registry, poison)
-        report = lint_forest(registry.directory)
-        assert any(
-            "tree[1]" in m and "VERIFY004" in m
-            for m in _errors(report, "FOREST001")
-        )
+        report = lint_registry(registry.directory)
+        assert any("tree[1]" in m for m in _errors(report, "VERIFY004"))
         assert report.exit_code(strict=False) == 2
 
     def test_nan_threshold_errors_forest001(self, registry):
@@ -181,9 +194,20 @@ class TestForestRulesRunTheVerifier:
             root["threshold"] = float("nan")
 
         _edit_blob(registry, poison)
-        report = lint_forest(registry.directory)
-        assert any(
-            "tree[2]" in m and "VERIFY001" in m
-            for m in _errors(report, "FOREST001")
-        )
+        report = lint_registry(registry.directory)
+        assert any("tree[2]" in m for m in _errors(report, "VERIFY001"))
         assert report.exit_code(strict=False) == 2
+
+    def test_member_tree_warnings_are_reported(self, registry):
+        """Every verifier finding reaches the audit with its severity,
+        member-tree warnings included."""
+        _edit_blob(registry, lambda d: d.update(feature_ranges=None))
+        report = lint_registry(registry.directory)
+        assert _rule_ids(report) == ["SERVE002"]
+        warnings = [d.message for d in report.diagnostics
+                    if d.severity is Severity.WARNING]
+        for index in range(3):
+            assert any(f"tree[{index}]" in m and "VERIFY008" in m
+                       for m in warnings)
+        assert report.exit_code(strict=False) == 0
+        assert report.exit_code(strict=True) == 1

@@ -44,7 +44,7 @@ class TestRegistry:
         assert len(ids) >= 20
 
     def test_get_rule(self):
-        assert get_rule("TREE002").severity is Severity.ERROR
+        assert get_rule("TREE001").severity is Severity.ERROR
         with pytest.raises(LintError):
             get_rule("NOPE999")
 

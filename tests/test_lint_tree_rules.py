@@ -7,7 +7,7 @@ import pytest
 from repro.core.tree import M5Prime
 from repro.core.tree.linear import LinearModel
 from repro.core.tree.node import LeafNode, SplitNode, assign_leaf_ids
-from repro.lint import LintConfig, lint_model
+from repro.lint import LintConfig, lint_model, run_lint
 
 
 def lm(intercept=1.0, indices=(), names=(), coefficients=(), n=10, error=0.1):
@@ -59,7 +59,7 @@ class TestCleanTree:
         report = lint_model(clean_model)
         assert report.is_clean, [d.render() for d in report.diagnostics]
         assert report.families == ("tree",)
-        assert report.n_rules >= 9
+        assert report.n_rules >= 8
 
     def test_fitted_tree_lints_clean(self, figure1_tree):
         assert lint_model(figure1_tree).is_clean
@@ -78,30 +78,38 @@ class TestTree001FeatureIndex:
 
 
 class TestTree002Unreachable:
+    """Dead branches are VERIFY005's finding (TREE002 is retired); the
+    verifier reports the topmost dead node of each dead subtree."""
+
     def test_contradictory_thresholds(self):
         # right of f0 <= 5 implies f0 > 5, so a nested f0 <= 3 left
         # branch can never be taken
         inner = split(0, "f0", 3.0, leaf(), leaf())
         model = make_model(split(0, "f0", 5.0, leaf(), inner))
-        found = lint_model(model).by_rule("TREE002")
+        report = run_lint(model=model)
+        found = report.by_rule("VERIFY005")
         assert len(found) == 1
-        assert "unreachable" in found[0].message
-        assert found[0].location == "leaf LM2"
+        assert "dead branch" in found[0].message
+        assert found[0].location == "node 3 (leaf LM2)"
+        assert report.exit_code() == 2
+        assert not lint_model(model).diagnostics
 
     def test_reports_maximal_subtree_only(self):
         # the whole inner-left subtree is dead; only its root is flagged
         dead = split(1, "f1", 2.0, leaf(), leaf())
         inner = split(0, "f0", 3.0, dead, leaf())
         model = make_model(split(0, "f0", 5.0, leaf(), inner))
-        found = lint_model(model).by_rule("TREE002")
-        assert len(found) == 1
-        assert found[0].location == "split f1 <= 2"
+        report = run_lint(model=model)
+        assert [(d.rule_id, d.location) for d in report.diagnostics] == [
+            ("VERIFY005", "node 3"),
+        ]
 
     def test_equal_threshold_right_reuse_is_unreachable(self):
         # right of f0 <= 5 then left of f0 <= 5 again: interval (5, 5]
         inner = split(0, "f0", 5.0, leaf(), leaf())
         model = make_model(split(0, "f0", 5.0, leaf(), inner))
-        assert lint_model(model).by_rule("TREE002")
+        found = run_lint(model=model).by_rule("VERIFY005")
+        assert [d.location for d in found] == ["node 3 (leaf LM2)"]
 
 
 class TestTree003LeafPopulation:

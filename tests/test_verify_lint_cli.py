@@ -2,15 +2,12 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.core.tree import M5Prime
 from repro.core.tree.linear import LinearModel
 from repro.core.tree.node import LeafNode, SplitNode, assign_leaf_ids
 from repro.core.tree.serialize import save_model
 from repro.lint import lint_verify, run_lint
-from repro.serve.registry import ModelRegistry
 
 
 def _linear(intercept):
@@ -87,24 +84,6 @@ class TestVerifyCli:
         target = document["targets"][0]
         assert target["ok"] is True
         assert target["certificate"]["leaves"]
-
-    def test_registry_sweep(self, suite_tree, tmp_path, capsys):
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.publish("cpi-tree", suite_tree)
-        assert main(["verify", "--registry", str(tmp_path / "registry")]) == 0
-        out = capsys.readouterr().out
-        assert "cpi-tree@1" in out and "clean" in out
-
-    def test_registry_catches_tampered_certificate(self, suite_tree,
-                                                   tmp_path, capsys):
-        registry = ModelRegistry(tmp_path / "registry")
-        record = registry.publish("cpi-tree", suite_tree)
-        path = registry.directory / record.certificate
-        document = json.loads(path.read_text())
-        document["output"][1] = document["output"][1] + 5.0
-        path.write_text(json.dumps(document))
-        assert main(["verify", "--registry", str(tmp_path / "registry")]) == 2
-        assert "FAIL" in capsys.readouterr().out
 
     def test_no_target_is_an_error(self, capsys):
         assert main(["verify"]) == 2
