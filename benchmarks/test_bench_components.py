@@ -1,14 +1,14 @@
 """Component throughput microbenchmarks.
 
 Not paper artifacts — these track the performance of the substrate
-itself (cache model, predictor, full core replay, tree fit/predict), so
-regressions in simulation speed are visible.
+itself (cache model, predictor, full core replay), so regressions in
+simulation speed are visible.  Tree fit and predict are timed once, by
+``test_micro_fit`` and ``test_micro_predict`` in ``test_bench_micro.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.tree import M5Prime
 from repro.simulator import (
     CacheConfig,
     GsharePredictor,
@@ -54,18 +54,3 @@ def test_core_replay_throughput(benchmark):
     core = SimulatedCore(MachineConfig(), rng=0)
     result = benchmark(core.run_block, block)
     assert result.cycles > 0
-
-
-def test_tree_fit_throughput(benchmark, bench_dataset):
-    model = benchmark.pedantic(
-        lambda: M5Prime(min_instances=25).fit(bench_dataset),
-        rounds=1,
-        iterations=1,
-    )
-    assert model.n_leaves >= 1
-
-
-def test_tree_predict_throughput(benchmark, bench_dataset):
-    model = M5Prime(min_instances=25).fit(bench_dataset)
-    predictions = benchmark(model.predict, bench_dataset.X)
-    assert predictions.shape[0] == bench_dataset.n_instances

@@ -1,10 +1,12 @@
 """Micro-benchmarks of the hot paths the parallel layer accelerates.
 
 Unlike the artifact benchmarks (which each time one whole experiment),
-these isolate the four operations ``repro bench`` tracks — tree fit,
-prediction, cross validation and suite simulation — so the CI
-regression gate catches a slow-down in any one of them even when the
-experiment-level numbers hide it.
+these isolate the hot operations — tree fit, prediction, cross
+validation, split search and suite simulation — so the CI regression
+gate catches a slow-down in any one of them even when the
+experiment-level numbers hide it.  Batch predict throughput over 10k
+rows is timed in ``test_bench_serve.py`` (trees) and
+``test_bench_forest.py`` (forests).
 """
 
 import functools

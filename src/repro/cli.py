@@ -9,12 +9,13 @@ Subcommands mirror the paper's workflow:
 * ``repro evaluate``    — cross-validate one learner on a dataset
 * ``repro compare``     — the full method comparison table
 * ``repro experiments`` — run registered paper-artifact experiments
+  (``--out`` also writes them as one markdown report)
 * ``repro lint``        — statically verify models, datasets, compatibility
-* ``repro verify``      — abstract interpretation over compiled tree arenas
-  (published models: ``repro lint --registry``)
+* ``repro verify``      — abstract interpretation over a saved tree or
+  forest, with its certificate (published models: ``repro lint
+  --registry``; the conformance corpus: ``repro conformance``)
 * ``repro serve``       — batched HTTP model server over the registry
 * ``repro workloads``   — list the synthetic suite
-* ``repro bench``       — time the hot paths, write a BENCH_<date>.json
 * ``repro cache``       — inspect or clear the on-disk artifact cache
 * ``repro faults``      — describe the active fault-injection spec
 * ``repro conformance`` — oracle differential + metamorphic conformance run
@@ -41,7 +42,7 @@ Example::
     repro compare --data sections.csv --fail-policy min_success:0.8
     repro lint --model model.json --data sections.csv --strict
     repro experiments --id F2 --preset quick
-    repro bench --preset quick --jobs 4
+    repro experiments --preset quick --out report.md
     repro train --data sections.csv --publish cpi-tree
     repro serve --model cpi-tree@latest --port 8377
 """
@@ -216,27 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="static verification of compiled tree arenas",
+        help="static verification of a saved tree or forest",
         description="Abstract interpretation over the compiled tree "
-        "arena: structural well-formedness, dead branches, domain "
-        "coverage, and certified per-leaf output bounds.  Targets: a "
-        "saved model JSON and/or the conformance corpus (certified "
-        "bounds cross-checked against empirical predictions); "
-        "`repro lint --registry` verifies published models.  "
+        "arena of a saved model: structural well-formedness, dead "
+        "branches, domain coverage, and certified per-leaf output "
+        "bounds.  `repro lint --registry` verifies published models; "
+        "`repro conformance` checks the certified bounds of every "
+        "corpus model (CONF007).  "
         "Exit codes: 0 clean, 1 warnings with --strict, 2 errors.",
     )
-    verify.add_argument("--model", help="saved model JSON to verify")
-    verify.add_argument("--corpus", metavar="TIER", default=None,
-                        choices=["quick", "deep"],
-                        help="fit, verify, and empirically bound-check "
-                        "every model of this conformance corpus tier")
-    verify.add_argument("--seed", type=int, default=2007,
-                        help="corpus master seed (default 2007)")
-    verify.add_argument("--rows", type=int, default=10000,
-                        help="rows per empirical bound-check batch "
-                        "(default 10000)")
-    verify.add_argument("--max-cases", type=int, default=None, metavar="N",
-                        help="truncate the corpus (debugging convenience)")
+    verify.add_argument("--model",
+                        help="saved model JSON (tree or forest) to verify")
     verify.add_argument("--format", default="text", choices=["text", "json"])
     verify.add_argument("--strict", action="store_true",
                         help="exit 1 when warnings are the worst finding")
@@ -251,21 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "repro-report envelope)")
     _add_jobs_argument(compare)
     _add_resilience_arguments(compare)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the hot paths, write a BENCH_<date>.json",
-        description="Run the fixed micro-benchmark set (fit, predict, "
-        "cross validation, suite simulation) and emit a stable-schema "
-        "JSON document for regression tracking.",
-    )
-    bench.add_argument("--preset", default="quick",
-                       choices=["tiny", "quick", "paper"])
-    bench.add_argument("--rounds", type=int, default=3,
-                       help="timing rounds per benchmark (default 3)")
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default BENCH_<date>.json)")
-    _add_jobs_argument(bench)
 
     cache = sub.add_parser(
         "cache",
@@ -296,16 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
                              choices=["tiny", "quick", "paper"])
     experiments.add_argument("--list", action="store_true",
                              help="list experiment ids and exit")
+    experiments.add_argument("--out", metavar="PATH", default=None,
+                             help="also write the reports as one markdown "
+                             "file")
 
     describe = sub.add_parser("describe", help="profile a dataset's distributions")
     describe.add_argument("--data", required=True, help="dataset CSV path")
-
-    report = sub.add_parser(
-        "report", help="run all experiments, write a markdown report"
-    )
-    report.add_argument("--out", required=True, help="output markdown path")
-    report.add_argument("--preset", default="quick",
-                        choices=["tiny", "quick", "paper"])
 
     serve = sub.add_parser(
         "serve",
@@ -774,64 +746,29 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.core.tree import load_model
     from repro.lint import json_document
     from repro.verify import verify_model
 
-    if not args.model and args.corpus is None:
-        raise ReproError("verify needs --model and/or --corpus")
-    targets = []
-    if args.model:
-        from repro.core.tree import load_model
-
-        targets.append((args.model, verify_model(load_model(args.model))))
-    corpus_report = None
-    if args.corpus is not None:
-        from repro.conformance import run_certified
-
-        corpus_report = run_certified(
-            seed=args.seed, tier=args.corpus, rows=args.rows,
-            max_cases=args.max_cases,
-        )
-    any_errors = (
-        any(not result.ok for _, result in targets)
-        or (corpus_report is not None and corpus_report.exit_code() != 0)
-    )
-    any_warnings = any(
-        result.report.n_warnings > 0 for _, result in targets
-    )
+    if not args.model:
+        raise ReproError("verify needs --model")
+    result = verify_model(load_model(args.model))
     if args.format == "json":
-        payload = {
-            "targets": [
-                {
-                    "target": label,
-                    "ok": result.ok,
-                    "diagnostics": [
-                        d.to_dict() for d in result.diagnostics
-                    ],
-                    "certificate": (
-                        result.certificate.to_dict()
-                        if result.certificate is not None else None
-                    ),
-                }
-                for label, result in targets
-            ],
-        }
-        if corpus_report is not None:
-            payload["corpus"] = corpus_report.to_dict()
-        print(json_document("verify", payload))
+        certificate = result.certificate
+        print(json_document("verify", {"targets": [{
+            "target": args.model,
+            "ok": result.ok,
+            "diagnostics": [d.to_dict() for d in result.diagnostics],
+            "certificate": (
+                certificate.to_dict() if certificate is not None else None
+            ),
+        }]}))
     else:
-        for label, result in targets:
-            print(f"{label}:")
-            for diagnostic in result.diagnostics:
-                print(f"  {diagnostic.render()}")
-            print(f"  {result.summary()}")
-        if corpus_report is not None:
-            print(corpus_report.render_text())
-    if any_errors:
-        return 2
-    if args.strict and any_warnings:
-        return 1
-    return 0
+        print(f"{args.model}:")
+        for diagnostic in result.diagnostics:
+            print(f"  {diagnostic.render()}")
+        print(f"  {result.summary()}")
+    return result.report.exit_code(strict=args.strict)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -865,13 +802,27 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         return 0
     config = ExperimentConfig.by_name(args.preset)
     ids = [i.upper() for i in args.ids] if args.ids else list(EXPERIMENTS)
+    markdown = [
+        "# Reproduction report",
+        "",
+        f"preset: `{config.name}` — {config.sections_per_workload} sections "
+        f"per workload, {config.instructions_per_section} instructions per "
+        f"section, min_instances {config.min_instances}, "
+        f"{config.n_folds}-fold CV, seed {config.seed}",
+        "",
+    ]
     failures = 0
     for eid in ids:
         report = run_experiment(eid, config)
         print(report.render())
         print()
+        markdown.append(report.render_markdown())
         if not report.all_checks_pass:
             failures += 1
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(markdown))
+        print(f"wrote {args.out}")
     if failures:
         print(f"{failures} experiment(s) had failing shape checks", file=sys.stderr)
     return 1 if failures else 0
@@ -882,66 +833,6 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
     dataset = _load(args.data)
     print(profile_dataset(dataset).render())
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments import EXPERIMENTS, ExperimentConfig, run_experiment
-
-    config = ExperimentConfig.by_name(args.preset)
-    lines = [
-        "# Reproduction report",
-        "",
-        f"preset: `{config.name}` — {config.sections_per_workload} sections "
-        f"per workload, {config.instructions_per_section} instructions per "
-        f"section, min_instances {config.min_instances}, "
-        f"{config.n_folds}-fold CV, seed {config.seed}",
-        "",
-    ]
-    failures = 0
-    for eid in EXPERIMENTS:
-        print(f"running {eid}...", flush=True)
-        result = run_experiment(eid, config)
-        status = "PASS" if result.all_checks_pass else "**FAIL**"
-        lines.append(f"## {eid}: {result.title} — {status}")
-        lines.append("")
-        lines.append(f"*Paper:* {result.paper_claim}")
-        lines.append("")
-        for key, value in result.measured.items():
-            lines.append(f"* {key}: {value}")
-        lines.append("")
-        for key, passed in result.checks.items():
-            lines.append(f"* [{'x' if passed else ' '}] {key}")
-        lines.append("")
-        if result.body:
-            lines.append("```")
-            lines.append(result.body)
-            lines.append("```")
-            lines.append("")
-        if not result.all_checks_pass:
-            failures += 1
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
-    print(f"wrote {args.out} ({len(EXPERIMENTS)} experiments, "
-          f"{failures} with failing checks)")
-    return 1 if failures else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        default_output_path,
-        render_document,
-        run_bench,
-        write_document,
-    )
-
-    document = run_bench(
-        preset=args.preset, n_jobs=args.jobs, rounds=args.rounds
-    )
-    print(render_document(document))
-    out = args.out or default_output_path()
-    write_document(document, out)
-    print(f"wrote {out}")
     return 0
 
 
@@ -1234,9 +1125,7 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "describe": _cmd_describe,
     "experiments": _cmd_experiments,
-    "report": _cmd_report,
     "workloads": _cmd_workloads,
-    "bench": _cmd_bench,
     "cache": _cmd_cache,
     "serve": _cmd_serve,
     "faults": _cmd_faults,

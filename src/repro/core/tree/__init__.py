@@ -23,12 +23,7 @@ from repro.core.tree.linear import (
     select_uncorrelated,
     simplify_model,
 )
-from repro.core.tree.node import (
-    LeafNode,
-    Node,
-    SplitNode,
-    iter_nodes_with_bounds,
-)
+from repro.core.tree.node import LeafNode, Node, SplitNode
 from repro.core.tree.splitting import Split, find_best_split
 from repro.core.tree.builder import TreeBuilder
 from repro.core.tree.pruning import prune_tree
@@ -53,7 +48,6 @@ __all__ = [
     "SplitNode",
     "TreeBuilder",
     "find_best_split",
-    "iter_nodes_with_bounds",
     "load_model",
     "loads_model",
     "model_from_dict",

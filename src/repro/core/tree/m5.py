@@ -18,11 +18,9 @@ from repro._util import as_float_matrix
 from repro.core.tree.builder import TreeBuilder
 from repro.core.tree.linear import LinearModel
 from repro.core.tree.node import (
-    Bounds,
     LeafNode,
     Node,
     SplitNode,
-    iter_nodes_with_bounds,
     path_to_leaf,
     route,
 )
@@ -217,18 +215,6 @@ class M5Prime:
     def splits(self) -> List[SplitNode]:
         """All interior (split) nodes, pre-order — the tree's test set."""
         return self._require_fitted().splits()
-
-    def iter_bounds(self):
-        """Yield ``(node, bounds)`` pairs over the whole tree.
-
-        ``bounds`` maps attribute index to the feasible ``(low, high)``
-        interval implied by the split tests above the node — the metadata
-        validators use to detect unreachable branches.  See
-        :func:`repro.core.tree.node.iter_nodes_with_bounds`.
-        """
-        root = self._require_fitted()
-        bounds: Bounds = {}
-        yield from iter_nodes_with_bounds(root, bounds)
 
     # ------------------------------------------------------------------
     @property

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -134,38 +134,6 @@ def path_to_leaf(root: Node, x: np.ndarray) -> List[Node]:
         node = node.child_for(x)  # type: ignore[attr-defined]
         path.append(node)
     return path
-
-
-#: Feasible interval per split attribute: ``attribute_index -> (low, high)``.
-#: An instance reaches the node iff ``low < x[attribute_index] <= high``
-#: for every constrained attribute (splits test ``x <= threshold``).
-Bounds = Dict[int, Tuple[float, float]]
-
-
-def iter_nodes_with_bounds(
-    root: Node, bounds: Optional[Bounds] = None
-) -> Iterator[Tuple[Node, Bounds]]:
-    """Pre-order traversal yielding each node with its ancestor constraints.
-
-    The bounds describe the region of attribute space that can reach the
-    node given the split tests *above* it (the node's own split is not
-    included).  A node whose interval is empty for some attribute
-    (``high <= low``) is unreachable: no instance can satisfy the
-    contradictory thresholds along its root path.  This is the path
-    metadata the lint rules (:mod:`repro.lint`) walk.
-    """
-    if bounds is None:
-        bounds = {}
-    yield root, bounds
-    if isinstance(root, SplitNode):
-        index = root.attribute_index
-        low, high = bounds.get(index, (float("-inf"), float("inf")))
-        left_bounds = dict(bounds)
-        left_bounds[index] = (low, min(high, root.threshold))
-        right_bounds = dict(bounds)
-        right_bounds[index] = (max(low, root.threshold), high)
-        yield from iter_nodes_with_bounds(root.left, left_bounds)
-        yield from iter_nodes_with_bounds(root.right, right_bounds)
 
 
 def assign_leaf_ids(root: Node) -> int:

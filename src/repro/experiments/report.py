@@ -47,3 +47,23 @@ class ExperimentReport:
             lines.append("")
             lines.append(self.body)
         return "\n".join(lines)
+
+    def render_markdown(self) -> str:
+        """One ``##`` section of the ``repro experiments --out`` report."""
+        status = "PASS" if self.all_checks_pass else "**FAIL**"
+        lines: List[str] = [
+            f"## {self.experiment_id}: {self.title} — {status}",
+            "",
+            f"*Paper:* {self.paper_claim}",
+            "",
+        ]
+        lines.extend(f"* {key}: {value}" for key, value in self.measured.items())
+        lines.append("")
+        lines.extend(
+            f"* [{'x' if passed else ' '}] {key}"
+            for key, passed in self.checks.items()
+        )
+        lines.append("")
+        if self.body:
+            lines.extend(["```", self.body, "```", ""])
+        return "\n".join(lines)

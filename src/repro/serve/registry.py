@@ -344,8 +344,11 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     def record_for(self, spec: str) -> ModelRecord:
         """The manifest record a spec names (no blob I/O)."""
+        return self._record(self._read_manifest(), spec)
+
+    def _record(self, document: Dict, spec: str) -> ModelRecord:
+        """The record ``spec`` names in an already parsed manifest."""
         name, ref = parse_spec(spec)
-        document = self._read_manifest()
         entry = document["models"].get(name)
         if entry is None:
             known = ", ".join(sorted(document["models"])) or "none"
@@ -409,13 +412,14 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     def records(self) -> List[ModelRecord]:
         """Every published version, name-then-version ordered."""
-        document = self._read_manifest()
-        result: List[ModelRecord] = []
-        for name in sorted(document["models"]):
-            entry = document["models"][name]
-            for version in sorted(entry["versions"], key=int):
-                result.append(self.record_for(f"{name}@{version}"))
-        return result
+        return self._records(self._read_manifest())
+
+    def _records(self, document: Dict) -> List[ModelRecord]:
+        return [
+            self._record(document, f"{name}@{version}")
+            for name, entry in sorted(document["models"].items())
+            for version in sorted(entry["versions"], key=int)
+        ]
 
     def names(self) -> Dict[str, int]:
         """``{name: latest version}`` for every published name."""
@@ -428,12 +432,12 @@ class ModelRegistry:
     def render(self) -> str:
         """Human-readable listing for ``repro cache info``."""
         try:
-            records = self.records()
+            document = self._read_manifest()
+            records = self._records(document)
         except RegistryError as exc:
             return f"registry: UNREADABLE ({exc})"
         lines = [f"registry directory: {self.directory}",
                  f"published versions: {len(records)}"]
-        document = self._read_manifest()
         for record in records:
             markers = []
             if record.kind != "tree":

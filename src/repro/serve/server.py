@@ -470,18 +470,19 @@ class ModelServer:
         served = self.get_model(_optional_str(payload, "model"))
         X, single = _sections_matrix(payload, served.model)
         scored = served.queue.submit(X, timeout=self.task_timeout)
+        predictions = scored if served.is_forest else scored["prediction"]
+        _require_finite(np.isfinite(predictions), "prediction")
         document = {
             "schema": SCHEMA,
             "model": served.label,
             "n": int(X.shape[0]),
             "single": single,
+            "predictions": predictions.tolist(),
         }
         if served.is_forest:
-            document["predictions"] = scored.tolist()
             document["n_trees"] = len(served.model.estimators_)
             document["refined"] = served.model.refined_ is not None
         else:
-            document["predictions"] = scored["prediction"].tolist()
             document["leaf_ids"] = scored["leaf_id"].tolist()
         return document
 
@@ -524,12 +525,18 @@ class ModelServer:
             }
             for c in leaf_contributions(model, x)
         ]
+        prediction = float(model.predict(x.reshape(1, -1))[0])
+        numbers = [prediction] + [
+            value for c in contributions for key, value in c.items()
+            if key != "event"
+        ]
+        _require_finite(np.isfinite(numbers).all(keepdims=True), "explanation")
         return {
             "schema": SCHEMA,
             "model": served.label,
             "leaf": int(leaf.leaf_id),
             "leaf_population": int(leaf.n_instances),
-            "prediction": float(model.predict(x.reshape(1, -1))[0]),
+            "prediction": prediction,
             "target": model.target_name_,
             "path": path,
             "contributions": contributions,
@@ -662,6 +669,21 @@ def _sections_matrix(payload: Dict, model) -> Tuple[np.ndarray, bool]:
     if not np.all(np.isfinite(X)):
         raise ServeError("sections contain NaN or infinite values")
     return X, single
+
+
+def _require_finite(finite: np.ndarray, what: str) -> None:
+    """Refuse a reply that would carry NaN or Infinity, which JSON lacks.
+
+    ``finite`` holds one flag per requested section.  The sections
+    themselves are finite (:func:`_sections_matrix`), so a ``False``
+    flag means the leaf model overflowed on that section.
+    """
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ServeError(
+            f"section {row}: the {what} is not finite (the section's values "
+            "overflow the leaf model)"
+        )
 
 
 def _make_handler(app: ModelServer):

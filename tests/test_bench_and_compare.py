@@ -1,13 +1,11 @@
-"""Tests for `repro bench` (schema) and benchmarks/compare.py (CI gate)."""
+"""Tests for benchmarks/compare.py (CI gate), benchmarks/pairs.py and
+`repro cache`."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
-
-from repro.bench import SCHEMA, render_document, run_bench, write_document
-from repro.errors import ConfigError
 
 
 def _load_benchmarks_module(name):
@@ -20,54 +18,6 @@ def _load_benchmarks_module(name):
 
 def _load_compare_module():
     return _load_benchmarks_module("compare")
-
-
-@pytest.fixture(scope="module")
-def bench_document():
-    return run_bench(preset="tiny", rounds=1)
-
-
-class TestRunBench:
-    def test_schema_shape(self, bench_document):
-        assert bench_document["schema"] == SCHEMA
-        assert bench_document["preset"] == "tiny"
-        assert bench_document["rounds"] == 1
-        assert set(bench_document["versions"]) == {"repro", "numpy", "python"}
-        names = [b["name"] for b in bench_document["benchmarks"]]
-        assert names == [
-            "fit_m5p", "predict_m5p", "predict_compiled_10k",
-            "predict_interpreted_10k", "predict_forest_10k",
-            "predict_forest_interpreted_10k", "cross_validate",
-            "suite_simulate",
-        ]
-
-    def test_throughput_cases_report_rows_per_s(self, bench_document):
-        by_name = {b["name"]: b for b in bench_document["benchmarks"]}
-        for name in (
-            "predict_compiled_10k", "predict_interpreted_10k",
-            "predict_forest_10k", "predict_forest_interpreted_10k",
-        ):
-            assert by_name[name]["rows_per_s"] > 0
-        assert "rows_per_s" not in by_name["fit_m5p"]
-
-    def test_timings_positive_and_consistent(self, bench_document):
-        for entry in bench_document["benchmarks"]:
-            assert 0 < entry["min_s"] <= entry["mean_s"] <= entry["max_s"]
-            assert entry["rounds"] == 1
-
-    def test_document_is_json_serializable(self, bench_document, tmp_path):
-        out = tmp_path / "bench.json"
-        write_document(bench_document, str(out))
-        assert json.loads(out.read_text())["schema"] == SCHEMA
-
-    def test_render_mentions_every_benchmark(self, bench_document):
-        text = render_document(bench_document)
-        for entry in bench_document["benchmarks"]:
-            assert entry["name"] in text
-
-    def test_invalid_rounds(self):
-        with pytest.raises(ConfigError):
-            run_bench(preset="tiny", rounds=0)
 
 
 class TestCompareScript:
@@ -213,18 +163,6 @@ class TestPairsScript:
 
 
 class TestCliBenchAndCache:
-    def test_bench_writes_json(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        out = tmp_path / "bench.json"
-        assert main([
-            "bench", "--preset", "tiny", "--rounds", "1", "--out", str(out)
-        ]) == 0
-        document = json.loads(out.read_text())
-        assert document["schema"] == SCHEMA
-        assert "fit_m5p" in capsys.readouterr().out
-
     def test_cache_info_and_clear(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
         from repro.experiments.data import artifact_cache

@@ -24,6 +24,20 @@ class TestParser:
         assert args.command == "collect"
         assert args.sections == 120
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bench"], "invalid choice: 'bench'"),
+        (["report", "--out", "r.md"], "invalid choice: 'report'"),
+        (["verify", "--corpus", "quick"],
+         "unrecognized arguments: --corpus quick"),
+    ], ids=["bench", "report", "verify-corpus"])
+    def test_folded_commands_are_gone(self, argv, message, capsys):
+        # Timings live in benchmarks/, the markdown report is
+        # `experiments --out`, and the corpus check is `conformance`.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCommands:
     def test_workloads(self, capsys):
@@ -123,10 +137,12 @@ class TestNewCommands:
         out_path = str(tmp_path / "report.md")
         # Tiny preset may fail shape checks; any of 0/1 is acceptable here,
         # what matters is that the report file is complete.
-        code = main(["report", "--out", out_path, "--preset", "tiny"])
+        code = main(["experiments", "--preset", "tiny", "--out", out_path])
         assert code in (0, 1)
+        out = capsys.readouterr().out
+        assert "=== T1:" in out and out.rstrip().endswith(f"wrote {out_path}")
         text = open(out_path).read()
-        assert "# Reproduction report" in text
+        assert text.startswith("# Reproduction report\n\npreset: `tiny`")
         assert "## T1" in text
         assert "## E3" in text
 

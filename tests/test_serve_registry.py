@@ -85,6 +85,24 @@ class TestPublishResolve:
         text = registry.render()
         assert "a@1" in text and "b@1" in text and "prod" in text
 
+    def test_records_and_render_read_the_manifest_once(
+        self, registry, suite_tree, monkeypatch
+    ):
+        for _ in range(5):
+            registry.publish("m", suite_tree)
+        reads = []
+        read_manifest = registry._read_manifest
+
+        def counted():
+            reads.append(1)
+            return read_manifest()
+
+        monkeypatch.setattr(registry, "_read_manifest", counted)
+        assert [r.version for r in registry.records()] == [1, 2, 3, 4, 5]
+        assert len(reads) == 1
+        assert "m@5" in registry.render()
+        assert len(reads) == 2
+
 
 class TestIntegrity:
     def test_corrupt_blob_raises_and_quarantines(self, registry, suite_tree):

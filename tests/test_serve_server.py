@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.baselines.bagging import BaggedM5
 from repro.core.tree import M5Prime
 from repro.counters import PREDICTOR_NAMES
 from repro.errors import ServeError, TaskTimeoutError
@@ -37,7 +38,12 @@ def server(tmp_path, suite_tree):
     srv.shutdown()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"reply carries {name}, which strict JSON refuses")
+
+
 def call(server, path, payload=None):
+    """POST (or GET) one request; the reply must parse as strict JSON."""
     base = f"http://127.0.0.1:{server.bound_port}"
     if payload is None:
         request = urllib.request.Request(base + path)
@@ -48,9 +54,13 @@ def call(server, path, payload=None):
         )
     try:
         with urllib.request.urlopen(request, timeout=10) as response:
-            return response.status, json.loads(response.read())
+            return response.status, json.loads(
+                response.read(), parse_constant=_refuse_constant
+            )
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        return error.code, json.loads(
+            error.read(), parse_constant=_refuse_constant
+        )
 
 
 def call_with_headers(server, path, payload=None):
@@ -134,6 +144,46 @@ class TestPredictEnvelope:
             assert violations["metric-mix-exceeds-one"] == 1
         finally:
             srv.shutdown()
+
+
+_FINITE_ROW = [0.05] * len(PREDICTOR_NAMES)
+_HUGE_ROW = [1e308] * len(PREDICTOR_NAMES)
+
+
+class TestNonFiniteReplies:
+    """Finite sections whose leaf-model sums overflow answer 400."""
+
+    @pytest.fixture(scope="class")
+    def overflow_server(self):
+        # Opposite-signed coefficients above 1 send a row of 1e308 to
+        # inf - inf = NaN, as the quick-preset tree does.
+        X = np.random.default_rng(0).uniform(
+            0.0, 0.1, size=(60, len(PREDICTOR_NAMES))
+        )
+        y = 3.0 + 20.0 * X[:, 0] - 20.0 * X[:, 1]
+        srv = ModelServer(port=0)
+        srv.add_model("tree", M5Prime().fit(X, y, PREDICTOR_NAMES))
+        srv.add_model("forest", BaggedM5(n_estimators=3, min_instances=10)
+                      .fit(X, y, PREDICTOR_NAMES))
+        srv.start()
+        srv.serve_in_background()
+        yield srv
+        srv.shutdown()
+
+    @pytest.mark.parametrize("path, payload, message", [
+        ("/predict", {"model": "tree", "sections": [_FINITE_ROW, _HUGE_ROW]},
+         "section 1: the prediction is not finite"),
+        ("/predict", {"model": "forest", "sections": [_FINITE_ROW, _HUGE_ROW]},
+         "section 1: the prediction is not finite"),
+        ("/explain", {"model": "tree", "section": _HUGE_ROW},
+         "section 0: the explanation is not finite"),
+    ], ids=["predict-tree", "predict-forest", "explain-tree"])
+    def test_overflowing_section_is_refused(
+        self, overflow_server, path, payload, message
+    ):
+        status, document = call(overflow_server, path, payload)
+        assert status == 400, document
+        assert message in document["error"]
 
 
 class TestKeepAlive:

@@ -87,11 +87,4 @@ class TestVerifyCli:
 
     def test_no_target_is_an_error(self, capsys):
         assert main(["verify"]) == 2
-        err = capsys.readouterr().err
-        assert "--model" in err and "--corpus" in err
-
-    def test_corpus_smoke(self, capsys):
-        code = main(["verify", "--corpus", "quick",
-                     "--max-cases", "1", "--rows", "500"])
-        assert code == 0
-        assert "conformant" in capsys.readouterr().out
+        assert "--model" in capsys.readouterr().err
