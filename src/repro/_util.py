@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -96,14 +96,3 @@ def ensure_fraction(value: float, name: str) -> None:
 
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def optional_int(value: Optional[int], name: str) -> Optional[int]:
-    """Validate an optional non-negative integer parameter."""
-    from repro.errors import ConfigError
-
-    if value is None:
-        return None
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise ConfigError(f"{name} must be a non-negative int or None")
-    return int(value)

@@ -31,8 +31,9 @@ Results are bit-identical at any worker count.
 The long-running commands (``collect``, ``evaluate``, ``compare``) are
 fault-tolerant: failing units (workloads, folds) are retried with
 backoff, ``--fail-policy`` decides what exhausted units mean, every
-completed unit is checkpointed, and ``--resume`` reuses checkpoints
-from an interrupted run — bit-identically (see ``docs/resilience.md``).
+completed unit is checkpointed as an entry of the artifact cache, and
+``--resume`` reuses checkpoints from an interrupted run —
+bit-identically (see ``docs/resilience.md``).
 
 Example::
 
@@ -90,18 +91,14 @@ def _add_resilience_arguments(command_parser: argparse.ArgumentParser) -> None:
 
 def _build_policy(args: argparse.Namespace, run_key: str):
     """The :class:`~repro.resilience.RunPolicy` the flags describe."""
-    from repro.resilience import (
-        CheckpointStore,
-        FailPolicy,
-        RetryPolicy,
-        RunPolicy,
-    )
+    from repro.parallel import ArtifactCache
+    from repro.resilience import FailPolicy, RetryPolicy, RunPolicy
 
     return RunPolicy(
         retry=RetryPolicy(max_attempts=args.retries),
         fail_policy=FailPolicy.parse(args.fail_policy),
         task_timeout=args.task_timeout,
-        checkpoint=CheckpointStore(),
+        checkpoint=ArtifactCache(),
         run_key=run_key,
         resume=args.resume,
     )
@@ -247,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cache",
         help="inspect or clear the on-disk artifact cache",
         description="The artifact cache stores simulated section "
-        "datasets and fitted-model JSON, content-addressed by "
-        "configuration and code fingerprints.  Location: "
-        "$REPRO_CACHE_DIR or ~/.cache/repro.",
+        "datasets, fitted-model JSON and the checkpoints of "
+        "fault-tolerant runs, content-addressed by configuration and "
+        "code fingerprints.  Location: $REPRO_CACHE_DIR or ~/.cache/repro.",
     )
     cache.add_argument("action", choices=["info", "clear"],
                        help="info: list entries; clear: delete them all")
@@ -838,24 +835,20 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.experiments.data import artifact_cache
-    from repro.resilience import CheckpointStore
 
     cache = artifact_cache()
-    store = CheckpointStore()
     if args.action == "clear":
         removed = cache.clear()
-        print(f"removed {removed} cached artifact(s) from {cache.directory}")
-        cleared = store.clear()
-        print(f"removed {cleared} checkpoint(s) from {store.directory}")
+        print(
+            f"removed {removed} cached artifact(s), checkpoints included, "
+            f"from {cache.directory}"
+        )
         return 0
     print(cache.info().render())
-    runs = store.runs()
-    if runs:
-        print(f"checkpoint runs in {store.directory}:")
-        for run_key, n_units in runs.items():
-            print(f"  {run_key}  ({n_units} unit(s))")
-    else:
-        print(f"no checkpoint runs in {store.directory}")
+    runs = cache.checkpoint_runs()
+    print("checkpoint runs:" if runs else "no checkpoint runs")
+    for run_key, n_units in runs.items():
+        print(f"  {run_key}  ({n_units} unit(s))")
     from repro.serve import ModelRegistry
 
     registry = ModelRegistry()

@@ -61,11 +61,6 @@ class SectionAnalysis:
         """Split variables the section is on the high side of ("what")."""
         return [c.attribute for c in self.conditions if c.high_side]
 
-    @property
-    def explicit_issues(self) -> List[str]:
-        """Leaf-model events with positive predicted cost ("what")."""
-        return [c.event for c in self.contributions if c.cycles > 0]
-
     def top_issues(self, limit: int = 5) -> List[EventContribution]:
         """Highest-cost leaf-model events ("how much"), largest first."""
         positive = [c for c in self.contributions if c.cycles > 0]

@@ -17,13 +17,7 @@ import numpy as np
 from repro._util import as_float_matrix
 from repro.core.tree.builder import TreeBuilder
 from repro.core.tree.linear import LinearModel
-from repro.core.tree.node import (
-    LeafNode,
-    Node,
-    SplitNode,
-    path_to_leaf,
-    route,
-)
+from repro.core.tree.node import LeafNode, Node, path_to_leaf, route
 from repro.core.tree.pruning import prune_tree
 from repro.core.tree.render import render_models, render_tree
 from repro.core.tree.smoothing import DEFAULT_SMOOTHING_K
@@ -211,10 +205,6 @@ class M5Prime:
         """Leaf id -> linear model, the paper's LM1..LMk."""
         root = self._require_fitted()
         return {leaf.leaf_id: leaf.model for leaf in root.leaves()}  # type: ignore[misc]
-
-    def splits(self) -> List[SplitNode]:
-        """All interior (split) nodes, pre-order — the tree's test set."""
-        return self._require_fitted().splits()
 
     # ------------------------------------------------------------------
     @property

@@ -7,7 +7,7 @@ such dicts into the numeric rows the learners consume.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -90,14 +90,3 @@ def sections_to_dataset(
         target_name=TARGET_METRIC.name,
         meta=meta,
     )
-
-
-def accumulate_counts(snapshots: Iterable[CountMap]) -> Dict[str, float]:
-    """Sum several raw count snapshots event-wise (merging sub-sections)."""
-    total: Dict[str, float] = {}
-    for snap in snapshots:
-        for name, value in snap.items():
-            total[name] = total.get(name, 0.0) + value
-    if not total:
-        raise DataError("cannot accumulate zero snapshots")
-    return total

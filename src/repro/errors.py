@@ -62,11 +62,11 @@ class TaskTimeoutError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A checkpoint could not be written or the store was misused.
+    """A checkpointing run was misconfigured: it has no run key.
 
     Unreadable or corrupt checkpoints on *load* are never raised — they
-    are quarantined and recomputed — so this error signals caller bugs
-    (bad run keys, unserializable payloads), not disk corruption.
+    are quarantined and recomputed — so this error signals a caller bug,
+    not disk corruption.
     """
 
 

@@ -11,12 +11,13 @@ fold gets its own pre-spawned seed, which is why ``n_jobs=4`` returns
 bit-identical predictions to a serial run.
 
 The same pre-resolution makes folds *restartable*: with a
-:class:`~repro.resilience.RunPolicy` carrying a checkpoint store, every
-completed fold is persisted as it finishes and a resumed run recomputes
-only the missing ones — bit-identical to an uninterrupted run.  Failing
-folds are retried with backoff and, under a capturing failure policy,
-recorded as :class:`~repro.resilience.TaskFailure` entries in
-``result.failures`` instead of aborting the run.
+:class:`~repro.resilience.RunPolicy`, folds run as units of
+:func:`~repro.resilience.run_units`, so every completed fold is stored
+as an artifact-cache checkpoint as it finishes and a resumed run
+recomputes only the missing ones — bit-identical to an uninterrupted
+run.  Failing folds are retried with backoff and, under a capturing
+failure policy, recorded as :class:`~repro.resilience.TaskFailure`
+entries in ``result.failures`` instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.evaluation.metrics import (
     mean_result,
 )
 from repro.parallel import derive_fold_seeds, parallel_map
-from repro.resilience import RunPolicy, TaskFailure
+from repro.resilience import RunPolicy, TaskFailure, run_units
 from repro.resilience.faults import maybe_inject
 
 EstimatorFactory = Callable[..., object]
@@ -125,30 +126,6 @@ class _FoldTask:
         )
 
 
-class _CheckpointedFoldTask:
-    """A fold task that persists its prediction as soon as it succeeds.
-
-    Writing from inside the task (in whatever worker runs it) is what
-    makes a killed run resumable: every fold that finished before the
-    kill is already durable.
-    """
-
-    def __init__(self, inner: _FoldTask, store, run_key: str) -> None:
-        self.inner = inner
-        self.store = store
-        self.run_key = run_key
-
-    def __call__(self, job) -> np.ndarray:
-        fold_index = job[0]
-        prediction = self.inner(job)
-        self.store.store(
-            self.run_key,
-            f"fold-{fold_index:03d}",
-            {"fold": fold_index, "predictions": prediction},
-        )
-        return prediction
-
-
 def cross_validate(
     factory: EstimatorFactory,
     dataset: Dataset,
@@ -172,7 +149,7 @@ def cross_validate(
             Serial and parallel runs return bit-identical results.
         policy: Optional :class:`~repro.resilience.RunPolicy`.  Adds
             per-fold retries/timeouts, failure-policy handling, and —
-            with a checkpoint store — durable per-fold results that a
+            with a checkpoint cache — durable per-fold results that a
             ``resume`` run reuses.  ``None`` keeps the historical
             fail-on-first-error behavior exactly.
     """
@@ -199,8 +176,12 @@ def cross_validate(
         )
         failures: List[TaskFailure] = []
     else:
-        fold_predictions, failures = _run_folds_with_policy(
-            task, jobs, n_folds, n_jobs, policy
+        fold_predictions, failures = run_units(
+            task,
+            jobs,
+            [f"fold-{index:03d}" for index in range(n_folds)],
+            n_jobs,
+            policy,
         )
 
     predictions = np.full(dataset.n_instances, np.nan)
@@ -208,6 +189,7 @@ def cross_validate(
     for (train_idx, test_idx), fold_pred in zip(splits, fold_predictions):
         if fold_pred is None:
             continue
+        fold_pred = np.asarray(fold_pred, dtype=np.float64)
         predictions[test_idx] = fold_pred
         fold_results.append(evaluate_predictions(dataset.y[test_idx], fold_pred))
     if not fold_results:
@@ -226,48 +208,3 @@ def cross_validate(
         actuals=dataset.y.copy(),
         failures=failures,
     )
-
-
-def _run_folds_with_policy(
-    task: _FoldTask,
-    jobs: List[tuple],
-    n_folds: int,
-    n_jobs: Optional[int],
-    policy: RunPolicy,
-) -> tuple:
-    """Execute folds under a :class:`RunPolicy`.
-
-    Returns ``(per-fold predictions or None, failures)`` with one entry
-    per fold in fold order.
-    """
-    unit_names = [f"fold-{index:03d}" for index in range(n_folds)]
-    predictions: List[Optional[np.ndarray]] = [None] * n_folds
-    run_task = task
-    if policy.checkpointing:
-        assert policy.checkpoint is not None
-        run_key = policy.require_run_key()
-        if policy.resume:
-            for index, unit in enumerate(unit_names):
-                payload = policy.checkpoint.load(run_key, unit)
-                if payload is not None:
-                    predictions[index] = np.asarray(
-                        payload["predictions"], dtype=np.float64
-                    )
-        run_task = _CheckpointedFoldTask(task, policy.checkpoint, run_key)
-    pending = [i for i in range(n_folds) if predictions[i] is None]
-    outcomes = parallel_map(
-        run_task,
-        [jobs[i] for i in pending],
-        n_jobs=n_jobs,
-        retry=policy.retry,
-        fail_policy=policy.fail_policy,
-        task_timeout=policy.task_timeout,
-        keys=[unit_names[i] for i in pending],
-    )
-    failures: List[TaskFailure] = []
-    for fold_index, outcome in zip(pending, outcomes):
-        if isinstance(outcome, TaskFailure):
-            failures.append(outcome)
-        else:
-            predictions[fold_index] = np.asarray(outcome, dtype=np.float64)
-    return predictions, failures

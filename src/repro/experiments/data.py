@@ -167,7 +167,7 @@ def suite_dataset(
             calibration=calibration,
         )
     else:
-        if policy is not None and policy.checkpointing and not policy.run_key:
+        if policy is not None and policy.checkpoint is not None and not policy.run_key:
             from dataclasses import replace
 
             policy = replace(policy, run_key=collect_run_key(

@@ -4,30 +4,19 @@ See :mod:`repro.parallel.executor` for the pluggable map layer,
 :mod:`repro.parallel.seeding` for the deterministic per-task seed
 derivation that keeps serial and parallel runs bit-identical, and
 :mod:`repro.parallel.cache` for the content-addressed on-disk store of
-simulated datasets and fitted models.
+simulated datasets, fitted models and run checkpoints.
 """
 
-from repro.parallel.cache import (
-    ArtifactCache,
-    CacheInfo,
-    EntryStatus,
-    get_artifact_cache,
-)
+from repro.parallel.cache import ArtifactCache, CacheInfo, EntryStatus
 from repro.parallel.executor import (
     EXECUTOR_ENV,
     EXECUTOR_KINDS,
     JOBS_ENV,
     parallel_map,
-    parallel_starmap,
     resolve_executor,
     resolve_jobs,
 )
-from repro.parallel.seeding import (
-    derive_fold_seeds,
-    generator_for,
-    seeds_as_ints,
-    spawn_seeds,
-)
+from repro.parallel.seeding import derive_fold_seeds, spawn_seeds
 
 __all__ = [
     "ArtifactCache",
@@ -37,12 +26,8 @@ __all__ = [
     "EntryStatus",
     "JOBS_ENV",
     "derive_fold_seeds",
-    "generator_for",
-    "get_artifact_cache",
     "parallel_map",
-    "parallel_starmap",
     "resolve_executor",
     "resolve_jobs",
-    "seeds_as_ints",
     "spawn_seeds",
 ]

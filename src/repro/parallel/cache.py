@@ -16,20 +16,25 @@ Layout (under :func:`repro.experiments.config.default_cache_dir`, i.e.
 
     artifacts/
         dataset-<digest>.csv         simulated section datasets
-        dataset-<digest>.csv.sha256  integrity checksum sidecar
         model-<digest>.json          fitted model trees
-        model-<digest>.json.sha256   integrity checksum sidecar
         json-<digest>.json           generic JSON artifacts (fastsim
                                      calibrations and similar payloads)
-        json-<digest>.json.sha256    integrity checksum sidecar
+        checkpoint-<digest>.json     one completed unit of a fault-
+                                     tolerant run (digest of run key
+                                     and unit name; see
+                                     :func:`repro.resilience.run_units`)
+        <entry>.sha256               integrity checksum sidecar
         quarantine/                  corrupt entries, kept for autopsy
 
-Integrity: every store writes a SHA-256 sidecar of the artifact bytes.
-A load first verifies the sidecar (when present — pre-checksum entries
-are still honored but ``repro lint --cache-dir`` flags them), then
-parses.  A truncated, tampered, or unparsable entry is *quarantined* —
-moved into ``quarantine/`` with a warning — and reported as a miss, so
-corruption costs one recomputation, never a crash or a wrong result.
+Every entry is written by :meth:`ArtifactCache._store` and read by
+:meth:`ArtifactCache._load`.  A write goes to a hidden temp file that
+replaces the entry atomically, then gains a SHA-256 sidecar of its
+bytes; a writer that fails leaves nothing behind.  A load first verifies
+the sidecar (when present — pre-checksum entries are still honored but
+``repro lint --cache-dir`` flags them), then parses.  A truncated,
+tampered, or unparsable entry is *quarantined* — moved into
+``quarantine/`` with a warning — and reported as a miss, so corruption
+costs one recomputation, never a crash or a wrong result.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro._util import stable_hash
 from repro.errors import FaultInjected, ReproError
@@ -48,7 +53,9 @@ from repro.resilience.faults import maybe_inject
 
 KeyPart = Union[str, int, float]
 
-_SUFFIXES = {"dataset": ".csv", "model": ".json", "json": ".json"}
+_SUFFIXES = {
+    "dataset": ".csv", "model": ".json", "json": ".json", "checkpoint": ".json",
+}
 
 #: Suffix of the integrity sidecar written next to every artifact.
 CHECKSUM_SUFFIX = ".sha256"
@@ -68,6 +75,26 @@ def _file_digest(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _read_json(path: Path) -> Any:
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _replace_atomically(path: Path, write: Callable[[Path], Any]) -> None:
+    """``write`` a hidden temp file, then move it over ``path``.
+
+    The temp name starts with a dot, so it is never mistaken for an
+    entry; a writer that raises takes its partial file with it.
+    """
+    tmp = path.with_name(f".tmp-{path.name}.{os.getpid()}")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -102,7 +129,7 @@ class EntryStatus:
 
 
 class ArtifactCache:
-    """Content-addressed store for datasets and fitted models.
+    """Content-addressed store for datasets, models and checkpoints.
 
     Args:
         directory: Cache root; defaults to ``<default_cache_dir>/artifacts``.
@@ -143,14 +170,85 @@ class ArtifactCache:
         return self.directory / QUARANTINE_DIR
 
     # ------------------------------------------------------------------
+    # The one write path and the one read path
+    # ------------------------------------------------------------------
+    def _store(
+        self,
+        kind: str,
+        key_parts: Sequence[KeyPart],
+        write: Callable[[Path], Any],
+    ) -> Path:
+        """Write one entry: ``write(tmp)`` fills a temp file that then
+        replaces the entry atomically and gains its checksum sidecar.
+
+        An injected ``cache_write`` fault skips the write with a warning:
+        the caller continues uncached.
+        """
+        path = self.path_for(kind, key_parts)
+        try:
+            maybe_inject("cache_write", path.name)
+        except FaultInjected:
+            warnings.warn(
+                f"cache write for {path.name} failed (injected); "
+                "continuing uncached",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return path
+        self.directory.mkdir(parents=True, exist_ok=True)
+        _replace_atomically(path, write)
+        digest = _file_digest(path)
+        _replace_atomically(
+            self.checksum_path(path),
+            lambda tmp: tmp.write_text(digest + "\n", encoding="utf-8"),
+        )
+        return path
+
+    def _load(
+        self,
+        kind: str,
+        key_parts: Sequence[KeyPart],
+        parse: Callable[[Path], Any],
+    ) -> Any:
+        """One entry parsed by ``parse(path)``, or ``None`` on a miss.
+
+        An injected ``cache_read`` fault is a silent miss (it models a
+        transient read error).  An entry that fails its checksum, or that
+        ``parse`` rejects, is quarantined and reported as a miss.
+        """
+        path = self.path_for(kind, key_parts)
+        if not path.exists():
+            return None
+        try:
+            maybe_inject("cache_read", path.name)
+        except FaultInjected:
+            return None
+        if self._verify(path):
+            try:
+                return parse(path)
+            except (ReproError, ValueError, OSError):
+                pass
+        self.quarantine(path)
+        return None
+
+    def _store_json(
+        self, kind: str, key_parts: Sequence[KeyPart], payload: Any
+    ) -> Path:
+        # Serialize before any file exists, so a payload that does not
+        # serialize leaves nothing behind.
+        try:
+            text = json.dumps(payload, indent=1, sort_keys=True)
+        except (TypeError, ValueError) as error:
+            raise ReproError(
+                f"{kind} payload is not serializable: {error}"
+            ) from error
+        return self._store(
+            kind, key_parts, lambda tmp: tmp.write_text(text, encoding="utf-8")
+        )
+
+    # ------------------------------------------------------------------
     # Integrity
     # ------------------------------------------------------------------
-    def _write_checksum(self, path: Path) -> None:
-        sidecar = self.checksum_path(path)
-        tmp = sidecar.with_suffix(sidecar.suffix + f".tmp{os.getpid()}")
-        tmp.write_text(_file_digest(path) + "\n", encoding="utf-8")
-        os.replace(tmp, sidecar)
-
     def _verify(self, path: Path) -> bool:
         """Whether ``path`` matches its sidecar (absent sidecar passes)."""
         sidecar = self.checksum_path(path)
@@ -165,81 +263,36 @@ class ArtifactCache:
     def quarantine(self, path: Path) -> None:
         """Move a corrupt entry (and its sidecar) aside with a warning."""
         self.quarantine_directory.mkdir(parents=True, exist_ok=True)
-        try:
-            os.replace(path, self.quarantine_directory / path.name)
-        except OSError:
-            path.unlink(missing_ok=True)
-        sidecar = self.checksum_path(path)
-        if sidecar.exists():
+        for moved in (path, self.checksum_path(path)):
+            if not moved.exists():
+                continue
             try:
-                os.replace(
-                    sidecar, self.quarantine_directory / sidecar.name
-                )
+                os.replace(moved, self.quarantine_directory / moved.name)
             except OSError:
-                sidecar.unlink(missing_ok=True)
+                moved.unlink(missing_ok=True)
         warnings.warn(
             f"quarantined corrupt cache entry {path.name}; it will be "
             "recomputed on the next request",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
-    def _readable(self, path: Path) -> bool:
-        """Integrity gate every load passes through.
-
-        Injected ``cache_read`` faults and checksum mismatches both
-        surface as a miss: the former silently (it models a transient
-        read error), the latter via quarantine.
-        """
-        try:
-            maybe_inject("cache_read", path.name)
-        except FaultInjected:
-            return False
-        if not self._verify(path):
-            self.quarantine(path)
-            return False
-        return True
-
     # ------------------------------------------------------------------
-    # Datasets
+    # Entry kinds
     # ------------------------------------------------------------------
     def load_dataset(self, key_parts: Sequence[KeyPart]):
         """The cached dataset for this identity, or ``None`` on a miss."""
-        path = self.path_for("dataset", key_parts)
-        if not path.exists() or not self._readable(path):
-            return None
         from repro.datasets.csvio import load_csv
 
-        try:
-            return load_csv(path)
-        except ReproError:
-            self.quarantine(path)
-            return None
+        return self._load("dataset", key_parts, load_csv)
 
     def store_dataset(self, key_parts: Sequence[KeyPart], dataset) -> Path:
         from repro.datasets.csvio import save_csv
 
-        path = self.path_for("dataset", key_parts)
-        try:
-            maybe_inject("cache_write", path.name)
-        except FaultInjected:
-            warnings.warn(
-                f"cache write for {path.name} failed (injected); "
-                "continuing uncached",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return path
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        save_csv(dataset, tmp)
-        os.replace(tmp, path)
-        self._write_checksum(path)
-        return path
+        return self._store(
+            "dataset", key_parts, lambda tmp: save_csv(dataset, tmp)
+        )
 
-    # ------------------------------------------------------------------
-    # Fitted models
-    # ------------------------------------------------------------------
     def load_model(self, key_parts: Sequence[KeyPart]):
         """The cached fitted model for this identity, or ``None``.
 
@@ -247,77 +300,52 @@ class ArtifactCache:
         single trees (``repro-m5prime``) and forests (``repro-forest``)
         round-trip through the same cache slot.
         """
-        path = self.path_for("model", key_parts)
-        if not path.exists() or not self._readable(path):
-            return None
         from repro.core.tree.serialize import load_model
 
-        try:
-            return load_model(path)
-        except ReproError:
-            self.quarantine(path)
-            return None
+        return self._load("model", key_parts, load_model)
 
     def store_model(self, key_parts: Sequence[KeyPart], model) -> Path:
         from repro.core.tree.serialize import model_to_dict
 
-        path = self.path_for("model", key_parts)
-        try:
-            maybe_inject("cache_write", path.name)
-        except FaultInjected:
-            warnings.warn(
-                f"cache write for {path.name} failed (injected); "
-                "continuing uncached",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return path
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(model_to_dict(model), handle, indent=1)
-        os.replace(tmp, path)
-        self._write_checksum(path)
-        return path
+        text = json.dumps(model_to_dict(model), indent=1)
+        return self._store(
+            "model", key_parts, lambda tmp: tmp.write_text(text, encoding="utf-8")
+        )
 
-    # ------------------------------------------------------------------
-    # Generic JSON artifacts (calibrations, certificates, reports)
-    # ------------------------------------------------------------------
     def load_json(self, key_parts: Sequence[KeyPart]):
-        """The cached JSON payload for this identity, or ``None``.
-
-        A payload that fails to parse is quarantined and reported as a
-        miss, exactly like a corrupt dataset or model entry.
-        """
-        path = self.path_for("json", key_parts)
-        if not path.exists() or not self._readable(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            self.quarantine(path)
-            return None
+        """The cached JSON payload (calibrations and the like), or ``None``."""
+        return self._load("json", key_parts, _read_json)
 
     def store_json(self, key_parts: Sequence[KeyPart], payload) -> Path:
-        path = self.path_for("json", key_parts)
-        try:
-            maybe_inject("cache_write", path.name)
-        except FaultInjected:
-            warnings.warn(
-                f"cache write for {path.name} failed (injected); "
-                "continuing uncached",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return path
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        os.replace(tmp, path)
-        self._write_checksum(path)
-        return path
+        return self._store_json("json", key_parts, payload)
+
+    def load_checkpoint(self, run_key: str, unit: str):
+        """One unit's stored result, or ``None`` on a miss.
+
+        A document written for another run or unit, or one without a
+        result, is quarantined like any other corrupt entry.
+        """
+
+        def parse(path: Path) -> Any:
+            document = _read_json(path)
+            if (
+                not isinstance(document, dict)
+                or document.get("run") != run_key
+                or document.get("unit") != unit
+                or "result" not in document
+            ):
+                raise ReproError(f"{path.name} is not {run_key}/{unit}")
+            return document["result"]
+
+        return self._load("checkpoint", [run_key, unit], parse)
+
+    def store_checkpoint(self, run_key: str, unit: str, result) -> Path:
+        """Persist one unit's JSON-ready result for ``run_key``."""
+        return self._store_json(
+            "checkpoint",
+            [run_key, unit],
+            {"run": run_key, "unit": unit, "result": result},
+        )
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -369,6 +397,23 @@ class ArtifactCache:
             n_quarantined=len(self._quarantined()),
         )
 
+    def checkpoint_runs(self) -> Dict[str, int]:
+        """Run key -> number of stored units, for ``repro cache info``.
+
+        Read from each checkpoint's ``run``; a document that cannot be
+        read is skipped (a load would quarantine it).
+        """
+        runs: Dict[str, int] = {}
+        for path in self._entries():
+            if not path.name.startswith("checkpoint-"):
+                continue
+            try:
+                run_key = str(_read_json(path)["run"])
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+            runs[run_key] = runs.get(run_key, 0) + 1
+        return dict(sorted(runs.items()))
+
     def clear(self) -> int:
         """Delete every cached artifact; returns the number removed.
 
@@ -390,8 +435,3 @@ class ArtifactCache:
             except OSError:
                 pass
         return removed
-
-
-def get_artifact_cache(directory: Optional[Path] = None) -> ArtifactCache:
-    """The artifact cache rooted at ``directory`` (or the default root)."""
-    return ArtifactCache(directory)

@@ -27,7 +27,7 @@ import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError
 
@@ -100,10 +100,6 @@ def parallel_map(
     items: Sequence[T],
     n_jobs: Optional[int] = None,
     executor: Optional[str] = None,
-    retry=None,
-    fail_policy=None,
-    task_timeout: Optional[float] = None,
-    keys: Optional[Sequence[str]] = None,
 ) -> List[R]:
     """Map ``fn`` over ``items``, preserving order.
 
@@ -115,35 +111,12 @@ def parallel_map(
         items: Task inputs.
         n_jobs: Worker count (see :func:`resolve_jobs`).
         executor: Backend override (see :func:`resolve_executor`).
-        retry: Optional :class:`repro.resilience.RetryPolicy`.  Setting
-            any of ``retry``/``fail_policy``/``task_timeout`` routes the
-            map through :func:`repro.resilience.resilient_map`: each
-            unit is retried with backoff, bounded by the timeout, and
-            exhausted units are handled per the failure policy (raised
-            under ``fail_fast``, returned in place as
-            :class:`~repro.resilience.TaskFailure` records otherwise).
-        fail_policy: Optional :class:`repro.resilience.FailPolicy`.
-        task_timeout: Optional per-unit wall-clock budget in seconds.
-        keys: Unit names for failure records and fault identity (only
-            meaningful with the resilience arguments).
 
     Process pools require ``fn`` and every item to be picklable; when
     they are not, the call degrades to a thread pool with a warning
-    rather than failing mid-flight.
+    rather than failing mid-flight.  Retries, timeouts and failure
+    policies live one layer up, in ``resilient_map``, which wraps this.
     """
-    if retry is not None or fail_policy is not None or task_timeout is not None:
-        from repro.resilience.retry import resilient_map
-
-        return resilient_map(
-            fn,
-            items,
-            n_jobs=n_jobs,
-            executor=executor,
-            retry=retry,
-            fail_policy=fail_policy,
-            task_timeout=task_timeout,
-            keys=keys,
-        )
     jobs = resolve_jobs(n_jobs)
     items = list(items)
     kind = resolve_executor(executor, jobs)
@@ -163,36 +136,3 @@ def parallel_map(
             return list(pool.map(fn, items))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
-
-
-def parallel_starmap(
-    fn: Callable[..., R],
-    argument_tuples: Iterable[tuple],
-    n_jobs: Optional[int] = None,
-    executor: Optional[str] = None,
-    retry=None,
-    fail_policy=None,
-    task_timeout: Optional[float] = None,
-    keys: Optional[Sequence[str]] = None,
-) -> List[R]:
-    """:func:`parallel_map` for functions of several arguments."""
-    return parallel_map(
-        _StarCall(fn),
-        list(argument_tuples),
-        n_jobs=n_jobs,
-        executor=executor,
-        retry=retry,
-        fail_policy=fail_policy,
-        task_timeout=task_timeout,
-        keys=keys,
-    )
-
-
-class _StarCall:
-    """Picklable ``fn(*args)`` adapter (lambdas would break process pools)."""
-
-    def __init__(self, fn: Callable[..., R]) -> None:
-        self.fn = fn
-
-    def __call__(self, args: tuple) -> R:
-        return self.fn(*args)

@@ -10,7 +10,7 @@ submission order, which is deterministic), then hand each task its own
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -35,11 +35,6 @@ def spawn_seeds(seed: SeedLike, n_tasks: int) -> List[np.random.SeedSequence]:
     return list(np.random.SeedSequence(seed).spawn(n_tasks))
 
 
-def generator_for(seed: Union[np.random.SeedSequence, int, None]) -> np.random.Generator:
-    """A fresh :class:`numpy.random.Generator` for one task's seed."""
-    return np.random.default_rng(seed)
-
-
 def derive_fold_seeds(
     rng: RandomState, n_folds: int
 ) -> List[Optional[np.random.SeedSequence]]:
@@ -51,8 +46,3 @@ def derive_fold_seeds(
     if rng is None:
         return [None] * n_folds
     return list(spawn_seeds(rng, n_folds))
-
-
-def seeds_as_ints(seeds: Sequence[np.random.SeedSequence]) -> List[int]:
-    """Collapse seed sequences to plain ints (for logs and cache keys)."""
-    return [int(s.generate_state(1)[0]) for s in seeds]

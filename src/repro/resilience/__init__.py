@@ -1,16 +1,18 @@
 """Fault-tolerant execution: retries, timeouts, checkpoints, chaos.
 
 One crashed worker or truncated cache file must never throw away a
-whole collection or evaluation run.  This package provides the four
+whole collection or evaluation run.  This package provides the three
 pieces that guarantee it:
 
 * :mod:`repro.resilience.retry` — per-unit retries with exponential
   backoff and seeded jitter, per-task timeouts, and the three failure
   policies (``fail_fast``, ``collect_errors``, ``min_success_fraction``);
-* :mod:`repro.resilience.checkpoint` — checksummed per-unit
-  checkpoints so killed runs resume bit-identically;
 * :mod:`repro.resilience.policy` — :class:`RunPolicy`, the single
-  argument the execution paths take;
+  argument the execution paths take, and :func:`run_units`, the one
+  runner that applies it: it resumes from and writes per-unit
+  checkpoints, which are artifact-cache entries
+  (:class:`repro.parallel.ArtifactCache`), so killed runs resume
+  bit-identically;
 * :mod:`repro.resilience.faults` — the deterministic fault-injection
   harness (``REPRO_FAULTS``) that makes all of the above testable.
 
@@ -20,11 +22,6 @@ randomness is pre-spawned per unit and faults only decide *whether* a
 unit fails, never *what* it computes.
 """
 
-from repro.resilience.checkpoint import (
-    CheckpointStore,
-    dataset_fingerprint,
-    jsonable,
-)
 from repro.resilience.faults import (
     FAULTS_ENV,
     KNOWN_SITES,
@@ -34,7 +31,12 @@ from repro.resilience.faults import (
     maybe_inject,
     reset_faults,
 )
-from repro.resilience.policy import RunPolicy
+from repro.resilience.policy import (
+    RunPolicy,
+    dataset_fingerprint,
+    jsonable,
+    run_units,
+)
 from repro.resilience.retry import (
     COLLECT_ERRORS,
     FAIL_FAST,
@@ -45,12 +47,10 @@ from repro.resilience.retry import (
     TaskFailure,
     resilient_map,
     run_with_timeout,
-    split_failures,
 )
 
 __all__ = [
     "COLLECT_ERRORS",
-    "CheckpointStore",
     "FAIL_FAST",
     "FAULTS_ENV",
     "FailPolicy",
@@ -68,6 +68,6 @@ __all__ = [
     "maybe_inject",
     "reset_faults",
     "resilient_map",
+    "run_units",
     "run_with_timeout",
-    "split_failures",
 ]

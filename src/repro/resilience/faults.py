@@ -1,8 +1,8 @@
 """Deterministic fault injection for chaos testing the execution stack.
 
 Real counter-collection pipelines fail in mundane ways — a simulation
-worker dies, a cache file is truncated, a checkpoint half-written.  The
-retry, failure-policy, and checkpoint machinery in this package exists
+worker dies, a cache file (or checkpoint) is truncated or half-written.
+The retry, failure-policy, and checkpoint machinery in this package exists
 to survive exactly those failures, and this module makes them happen on
 demand so every policy is testable.
 
@@ -50,8 +50,6 @@ KNOWN_SITES: Mapping[str, str] = {
     "fold": "a cross-validation fold's fit-and-predict dies",
     "cache_read": "an artifact-cache entry is unreadable",
     "cache_write": "an artifact-cache write fails before completing",
-    "checkpoint_read": "a checkpoint file is unreadable",
-    "checkpoint_write": "a checkpoint write fails before completing",
     "registry_read": "a registry manifest read fails",
 }
 

@@ -315,19 +315,3 @@ def resilient_map(
     ]
     outcomes = parallel_map(task, jobs, n_jobs=n_jobs, executor=executor)
     return policy.apply(outcomes)
-
-
-def split_failures(outcomes: Sequence[Any]) -> tuple:
-    """Partition map outcomes into ``(successes, failures)``.
-
-    ``successes`` is a list of ``(index, result)`` pairs in input
-    order; ``failures`` the :class:`TaskFailure` records.
-    """
-    successes = []
-    failures: List[TaskFailure] = []
-    for index, outcome in enumerate(outcomes):
-        if isinstance(outcome, TaskFailure):
-            failures.append(outcome)
-        else:
-            successes.append((index, outcome))
-    return successes, failures

@@ -135,11 +135,6 @@ class MachineConfig:
             raise ConfigError("L1D and L2 must share a line size")
 
     @classmethod
-    def core2duo(cls) -> "MachineConfig":
-        """The paper's test machine (default construction, spelled out)."""
-        return cls()
-
-    @classmethod
     def tiny(cls) -> "MachineConfig":
         """A deliberately small machine for fast unit tests.
 

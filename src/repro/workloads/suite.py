@@ -3,20 +3,23 @@
 This is the reproduction of the paper's data-collection campaign: run
 every workload, cut its execution into equal-instruction sections, and
 record the Table I counters per section.  Everything is seeded, so the
-same call always yields bit-identical datasets.
+same call always yields bit-identical datasets.  Under a
+:class:`~repro.resilience.RunPolicy` each workload is one unit of
+:func:`~repro.resilience.run_units`: retried on failure, and stored as
+an artifact-cache checkpoint that a resumed collection reuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.counters.derive import sections_to_dataset
 from repro.datasets.dataset import Dataset
 from repro.errors import ConfigError, RetryExhaustedError
-from repro.resilience import RunPolicy, TaskFailure
+from repro.resilience import RunPolicy, TaskFailure, run_units
 from repro.resilience.faults import maybe_inject
 from repro.simulator.config import MachineConfig
 from repro.simulator.core import SimulatedCore
@@ -207,45 +210,6 @@ class _ProfileRun:
         return counts, section_ids, phase_ids, cpi
 
 
-class _CheckpointedProfileRun:
-    """A profile run that persists its outcome as soon as it succeeds.
-
-    Writing from inside the task makes a killed suite run resumable:
-    every workload simulated before the kill is already durable, and a
-    ``--resume`` run recomputes only the missing ones.
-    """
-
-    def __init__(self, inner: _ProfileRun, store, run_key: str) -> None:
-        self.inner = inner
-        self.store = store
-        self.run_key = run_key
-
-    def __call__(self, job):
-        profile, _seq = job
-        counts, section_ids, phase_ids, cpi = self.inner(job)
-        self.store.store(
-            self.run_key,
-            f"wl-{profile.name}",
-            {
-                "counts": counts,
-                "sections": section_ids,
-                "phases": phase_ids,
-                "cpi": cpi,
-            },
-        )
-        return counts, section_ids, phase_ids, cpi
-
-
-def _payload_to_outcome(payload) -> Tuple[list, list, list, float]:
-    """Reconstruct a profile run outcome from its checkpoint payload."""
-    return (
-        list(payload["counts"]),
-        [int(s) for s in payload["sections"]],
-        [int(p) for p in payload["phases"]],
-        float(payload["cpi"]),
-    )
-
-
 def simulate_suite(
     profiles: Optional[Sequence[WorkloadProfile]] = None,
     sections_per_workload: int = 120,
@@ -285,7 +249,7 @@ def simulate_suite(
             engine only (the fast engine is a single vectorized pass).
         policy: Optional :class:`~repro.resilience.RunPolicy`: per-
             workload retries/timeouts, failure-policy handling, and —
-            with a checkpoint store — durable per-workload results a
+            with a checkpoint cache — durable per-workload results a
             resumed run reuses.  Since each profile simulates from its
             own pre-spawned seed, a resumed or retried run that
             completes is bit-identical to an uninterrupted one.
@@ -359,38 +323,17 @@ def simulate_suite(
         progress=progress if per_section_progress else None,
     )
     all_jobs = list(zip(profiles, seeds))
-    unit_names = [f"wl-{profile.name}" for profile in profiles]
-    outcomes: List[Optional[tuple]] = [None] * len(profiles)
-    failures: List[TaskFailure] = []
-
     if policy is None:
         outcomes = list(parallel_map(run, all_jobs, n_jobs=jobs))
+        failures: List[TaskFailure] = []
     else:
-        task = run
-        if policy.checkpointing:
-            assert policy.checkpoint is not None
-            run_key = policy.require_run_key()
-            if policy.resume:
-                for index, unit in enumerate(unit_names):
-                    payload = policy.checkpoint.load(run_key, unit)
-                    if payload is not None:
-                        outcomes[index] = _payload_to_outcome(payload)
-            task = _CheckpointedProfileRun(run, policy.checkpoint, run_key)
-        pending = [i for i in range(len(profiles)) if outcomes[i] is None]
-        mapped = parallel_map(
-            task,
-            [all_jobs[i] for i in pending],
-            n_jobs=jobs,
-            retry=policy.retry,
-            fail_policy=policy.fail_policy,
-            task_timeout=policy.task_timeout,
-            keys=[unit_names[i] for i in pending],
+        outcomes, failures = run_units(
+            run,
+            all_jobs,
+            [f"wl-{profile.name}" for profile in profiles],
+            jobs,
+            policy,
         )
-        for index, outcome in zip(pending, mapped):
-            if isinstance(outcome, TaskFailure):
-                failures.append(outcome)
-            else:
-                outcomes[index] = outcome
 
     all_counts = []
     labels: List[str] = []

@@ -182,7 +182,7 @@ class TestResilienceCli:
         assert main(["faults"]) == 0
         out = capsys.readouterr().out
         assert "inactive" in out
-        assert "sim" in out and "checkpoint_write" in out
+        assert "sim" in out and "cache_write" in out
 
     def test_faults_describe_spec(self, capsys):
         assert main(["faults", "--spec", "sim:0.2,seed=7"]) == 0
@@ -198,6 +198,12 @@ class TestResilienceCli:
         assert "fold" in capsys.readouterr().out
         monkeypatch.delenv("REPRO_FAULTS")
         reset_faults()
+
+    def test_checkpoint_fault_sites_are_gone(self, capsys):
+        # Checkpoint I/O fires the artifact cache's own sites.
+        for site in ("checkpoint_" + io for io in ("read", "write")):
+            assert main(["faults", "--spec", f"{site}:0.1"]) == 2
+            assert "unknown fault site" in capsys.readouterr().err
 
     def test_bad_fault_spec_is_clean_single_line_error(self, capsys):
         assert main(["faults", "--spec", "warp_core:0.5"]) == 2
@@ -239,24 +245,56 @@ class TestResilienceCli:
         assert "first line second line third" in err
 
     def test_cache_info_lists_checkpoint_runs(self, monkeypatch, tmp_path, capsys):
-        from repro.resilience import CheckpointStore
+        from repro.parallel import ArtifactCache
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        CheckpointStore().store("demo-run", "unit-a", {"x": 1})
+        cache = ArtifactCache()
+        cache.store_checkpoint("demo-run", "unit-a", {"x": 1})
+        cache.store_checkpoint("demo-run", "unit-b", {"x": 2})
+        cache.store_checkpoint("other-run", "unit-a", {"x": 3})
+        # An unreadable document is left out, not a crash.
+        cache.store_checkpoint("other-run", "unit-b", {}).write_text("{")
         assert main(["cache", "info"]) == 0
         out = capsys.readouterr().out
-        assert "demo-run" in out
-        assert "1 unit(s)" in out
+        assert "demo-run  (2 unit(s))" in out
+        assert "other-run  (1 unit(s))" in out
 
     def test_cache_clear_removes_checkpoints(self, monkeypatch, tmp_path, capsys):
-        from repro.resilience import CheckpointStore
+        from repro.parallel import ArtifactCache
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store = CheckpointStore()
-        store.store("demo-run", "unit-a", {"x": 1})
+        cache = ArtifactCache()
+        cache.store_checkpoint("demo-run", "unit-a", {"x": 1})
         assert main(["cache", "clear"]) == 0
-        assert "checkpoint" in capsys.readouterr().out
-        assert store.runs() == {}
+        assert "checkpoints included" in capsys.readouterr().out
+        assert cache.checkpoint_runs() == {}
+        assert main(["cache", "info"]) == 0
+        assert "no checkpoint runs" in capsys.readouterr().out
+
+    def test_evaluate_completes_when_cache_writes_fail(
+        self, monkeypatch, tmp_path, dataset_csv, capsys
+    ):
+        # A failed checkpoint write degrades to an uncached unit; it
+        # must never fail the fold that produced the result.
+        from repro.parallel import ArtifactCache
+        from repro.resilience.faults import reset_faults
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["evaluate", "--data", dataset_csv, "--learner", "ols",
+                "--folds", "3", "--format", "json"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        ArtifactCache().clear()
+        monkeypatch.setenv("REPRO_FAULTS", "cache_write:1.0")
+        reset_faults()
+        try:
+            with pytest.warns(RuntimeWarning, match="continuing uncached"):
+                assert main(argv + ["--retries", "1"]) == 0
+        finally:
+            monkeypatch.delenv("REPRO_FAULTS")
+            reset_faults()
+        assert capsys.readouterr().out == clean
+        assert ArtifactCache().checkpoint_runs() == {}
 
     def test_evaluate_json_includes_failed_units_key(self, dataset_csv, capsys):
         import json

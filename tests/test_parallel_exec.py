@@ -8,7 +8,6 @@ from repro.errors import ConfigError, ReproError
 from repro.parallel import (
     ArtifactCache,
     parallel_map,
-    parallel_starmap,
     resolve_executor,
     resolve_jobs,
     spawn_seeds,
@@ -18,10 +17,6 @@ from repro.parallel.executor import EXECUTOR_ENV, JOBS_ENV
 
 def _square(x):
     return x * x
-
-
-def _add(a, b):
-    return a + b
 
 
 class TestResolveJobs:
@@ -105,9 +100,6 @@ class TestParallelMap:
             )
         assert result == [2, 3, 4]
         assert sorted(captured) == [1, 2, 3]
-
-    def test_starmap(self):
-        assert parallel_starmap(_add, [(1, 2), (3, 4)], n_jobs=2) == [3, 7]
 
     def test_exceptions_propagate(self):
         def boom(x):
@@ -212,3 +204,35 @@ class TestArtifactCache:
 
     def test_clear_missing_directory(self, tmp_path):
         assert ArtifactCache(tmp_path / "absent").clear() == 0
+
+    def test_unserializable_json_leaves_no_entry(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        with pytest.raises(ReproError, match="json payload is not serializable"):
+            cache.store_json(["x"], {"b": object()})
+        assert list(tmp_path.iterdir()) == []
+        assert cache.info().n_entries == 0
+
+    def test_failed_writer_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import repro.datasets.csvio as csvio
+
+        def torn_write(dataset, path):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("meta_workload,a,b")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(csvio, "save_csv", torn_write)
+        cache = ArtifactCache(tmp_path)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store_dataset(["k"], _tiny_dataset())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_temp_files_are_never_entries(self, tmp_path):
+        # What a write killed mid-way leaves behind.
+        from repro.lint import lint_cache
+
+        cache = ArtifactCache(tmp_path)
+        path = cache.store_json(["x"], {"b": 1})
+        (tmp_path / f".tmp-{path.name}.4242").write_text('{"b": ')
+        assert cache.info().n_entries == 1
+        assert lint_cache(tmp_path).diagnostics == []
+        assert cache.clear() == 1

@@ -6,11 +6,13 @@ clean run.**  Every test here derives a fault-free baseline (with
 ``REPRO_FAULTS`` cleared) and compares faulty/resumed runs against it
 exactly, never approximately.
 
-The CI ``chaos`` job runs this file with ``REPRO_EXECUTOR`` set to each
-backend in turn; tests therefore avoid assumptions that only hold for
-one executor (each sets its own ``REPRO_FAULTS`` spec, chosen so the
+The CI ``chaos`` job runs this file with ``REPRO_JOBS=2`` and
+``REPRO_EXECUTOR`` set to each backend in turn, so every policy-driven
+map runs serially, on two threads and on two processes.  Tests therefore
+avoid assumptions that only hold for one executor: each sets its own
+``REPRO_FAULTS`` spec (an ambient one is cleared), chosen so the
 deterministic decisions work out under both serial and per-process
-occurrence counting).
+occurrence counting.
 """
 
 import json
@@ -22,12 +24,8 @@ from repro.baselines import LinearRegressionBaseline
 from repro.cli import main
 from repro.errors import RetryExhaustedError
 from repro.evaluation import cross_validate
-from repro.resilience import (
-    CheckpointStore,
-    FailPolicy,
-    RetryPolicy,
-    RunPolicy,
-)
+from repro.parallel import ArtifactCache
+from repro.resilience import FailPolicy, RetryPolicy, RunPolicy
 from repro.resilience.faults import FAULTS_ENV, reset_faults
 from repro.workloads import simulate_suite
 
@@ -229,8 +227,8 @@ class TestResume:
         assert main(list(argv) + ["--retries", "1"]) == 2
         assert "error:" in capsys.readouterr().err
         assert not crash_csv.exists()
-        store = CheckpointStore()
-        assert sum(store.runs().values()) >= 1  # durable progress
+        cache = ArtifactCache()
+        assert sum(cache.checkpoint_runs().values()) >= 1  # durable progress
 
         # Resume without faults: completes and matches the clean bytes.
         _clear_faults(monkeypatch)
@@ -262,17 +260,17 @@ class TestResume:
     def test_resume_with_unreadable_checkpoints_recomputes(
         self, monkeypatch, tmp_path
     ):
-        # checkpoint_read:1.0 makes every stored unit a miss; the resumed
+        # cache_read:1.0 makes every stored unit a miss; the resumed
         # run recomputes everything and must still be bit-identical.
-        store = CheckpointStore(tmp_path / "ckpt")
+        cache = ArtifactCache(tmp_path / "ckpt")
         baseline = simulate_suite(**SUITE_KW)
         first = simulate_suite(**SUITE_KW, policy=_policy(
-            1, checkpoint=store, run_key="suite-chaos"
+            1, checkpoint=cache, run_key="suite-chaos"
         ))
-        assert store.runs() == {"suite-chaos": 11}
-        _set_faults(monkeypatch, "checkpoint_read:1.0")
+        assert cache.checkpoint_runs() == {"suite-chaos": 11}
+        _set_faults(monkeypatch, "cache_read:1.0")
         resumed = simulate_suite(**SUITE_KW, policy=_policy(
-            1, checkpoint=store, run_key="suite-chaos", resume=True
+            1, checkpoint=cache, run_key="suite-chaos", resume=True
         ))
         for result in (first, resumed):
             np.testing.assert_array_equal(
