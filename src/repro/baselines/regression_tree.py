@@ -115,9 +115,3 @@ class RegressionTree(RegressorBase):
         if self.root_ is None:
             raise NotFittedError("fit the tree before inspecting it")
         return self.root_.n_leaves()
-
-    @property
-    def depth(self) -> int:
-        if self.root_ is None:
-            raise NotFittedError("fit the tree before inspecting it")
-        return self.root_.depth()

@@ -15,6 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.tree.m5 import M5Prime
+from repro.core.tree.node import LeafNode
 from repro.errors import DataError
 
 
@@ -59,21 +60,27 @@ def leaf_contributions(model: M5Prime, x: Sequence) -> List[EventContribution]:
     branches standing in for a favourable mix) sort last.
     """
     arr = np.asarray(x, dtype=np.float64).ravel()
-    leaf = model.leaf_for(arr)
+    return contributions_at_leaf(model.leaf_for(arr), arr, model.target_name_)
+
+
+def contributions_at_leaf(
+    leaf: LeafNode, x: Sequence[float], target_name: str
+) -> List[EventContribution]:
+    """:func:`leaf_contributions` of a row ``x`` already routed to ``leaf``."""
     linear = leaf.model
     if linear is None:
         raise DataError("leaf carries no model")
-    predicted = linear.predict_one(arr)
+    predicted = linear.predict_one(x)
     if predicted <= 0:
         raise DataError(
-            f"predicted {model.target_name_} is non-positive ({predicted:.4g}); "
+            f"predicted {target_name} is non-positive ({predicted:.4g}); "
             "contributions are undefined"
         )
     contributions = []
     for name, index, coefficient in zip(
         linear.names, linear.indices, linear.coefficients
     ):
-        value = float(arr[index])
+        value = float(x[index])
         cycles = coefficient * value
         contributions.append(
             EventContribution(

@@ -14,6 +14,8 @@ reads raw leaf models, so the estimator keeps smoothing optional.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 import numpy as np
 
 from repro.core.tree.node import Node, path_to_leaf
@@ -25,13 +27,30 @@ DEFAULT_SMOOTHING_K = 15.0
 
 def smoothed_predict(root: Node, x: np.ndarray, k: float = DEFAULT_SMOOTHING_K) -> float:
     """Predict one instance with path smoothing."""
-    if k < 0:
+    return path_prediction(path_to_leaf(root, x), x, k)
+
+
+def path_prediction(
+    path: Sequence[Node], x: Sequence[float], k: Optional[float] = None
+) -> float:
+    """The prediction at the end of a decision path (root first, leaf last).
+
+    Without ``k`` it is the leaf model's; with ``k`` the leaf model's
+    prediction is blended with each ancestor's in turn, leaf to root.
+    ``x`` may be a list of Python floats, whose arithmetic overflows
+    silently to ``inf``/``nan`` where numpy's warns.
+    """
+    if k is not None and k < 0:
         raise ConfigError(f"smoothing constant k must be non-negative, got {k}")
-    path = path_to_leaf(root, x)
     leaf = path[-1]
     if leaf.model is None:
-        raise ReproError("smoothing requires a model at the leaf")
+        raise ReproError(
+            "prediction requires a model at the leaf" if k is None
+            else "smoothing requires a model at the leaf"
+        )
     prediction = leaf.model.predict_one(x)
+    if k is None:
+        return prediction
     # Walk upward: blend with each ancestor in turn.
     for position in range(len(path) - 2, -1, -1):
         ancestor = path[position]

@@ -16,9 +16,9 @@ Three granularities share one declarative rule table:
   dataset lint rules (:mod:`repro.lint`) use, and
   :func:`check_invariants` is now a one-row wrapper around it.
 * :class:`InvariantTable` — the rules compiled once against a column
-  order, counting violating rows per rule in each matrix it is given,
-  as the serving drift monitor does for every scored batch.
-  :func:`check_dataset` is its reference.
+  order, counting violating rows per rule in each matrix it is given
+  (or in one row, in Python floats), as the serving drift monitor does
+  for every scored batch.  :func:`check_dataset` is its reference.
 
 Because the same comparisons run on raw counts (magnitudes in the
 thousands) and on per-instruction ratios (magnitudes near 1e-6..1), the
@@ -406,6 +406,15 @@ class InvariantTable:
         positive = np.array([inv.kind == "positive" for inv in self.invariants])
         self._positive = positive if positive.any() else None
 
+        def present(names: Tuple[str, ...]) -> Tuple[int, ...]:
+            return tuple(index[name] for name in names if name in index)
+
+        self._row_rules = [
+            (present(inv.lhs), present(inv.rhs), float(inv.bound),
+             inv.kind == "positive")
+            for inv in self.invariants
+        ]
+
     def count(self, X: np.ndarray) -> np.ndarray:
         """Rows of ``X`` (shape ``(n, len(columns))``) violating each rule."""
         padded = np.zeros((X.shape[0], self._width + 1))
@@ -418,6 +427,35 @@ class InvariantTable:
         if self._positive is not None:
             bad = np.where(self._positive, ~(lhs > 0), bad)
         return np.count_nonzero(bad, axis=0)
+
+    def count_row(self, x: Sequence[float]) -> List[int]:
+        """:meth:`count` of the one-row matrix ``[x]``, in Python floats
+        (each count a bool).
+
+        Each side is summed term by term in the rule's order (a loop:
+        ``sum`` of floats is compensated from Python 3.12 on and would
+        round differently), skipping absent columns, whose zero changes
+        no comparison; the tolerance is :meth:`count`'s.  Python floats
+        overflow to ``inf`` silently, as ``count`` does under its
+        ``errstate``, so the two agree on every row, NaN and
+        infinities included.
+        """
+        counts: List[int] = []
+        for lhs_terms, rhs_terms, bound, positive in self._row_rules:
+            lhs = 0.0
+            for i in lhs_terms:
+                lhs += x[i]
+            if positive:
+                counts.append(not lhs > 0)
+                continue
+            rhs = 0.0
+            for i in rhs_terms:
+                rhs += x[i]
+            rhs += bound
+            # max(1, |rhs|), NaN aside: a NaN rhs fails the test anyway.
+            scale = abs(rhs)
+            counts.append(lhs > rhs + _EPS * (scale if scale > 1.0 else 1.0))
+        return counts
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:

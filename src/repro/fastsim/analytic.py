@@ -99,9 +99,6 @@ class ParamMatrix:
                 np.array([getattr(p, name) for p in params], dtype=np.float64),
             )
 
-    def __len__(self) -> int:
-        return self.n
-
 
 def _uniform_hit(capacity_bytes: float, region: np.ndarray) -> np.ndarray:
     """Vectorized :func:`repro.simulator.analytic.uniform_hit_probability`."""

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, TypeVar, Union
 
 from repro.errors import ConfigError, RetryExhaustedError, TaskTimeoutError
+from repro.resilience.faults import active_plan
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -296,9 +297,13 @@ def resilient_map(
 
     ``keys`` names the units for failure records, jitter derivation and
     fault-injection identity; it defaults to ``task-<index>``.
+
+    A malformed ``REPRO_FAULTS`` spec raises its ``ConfigError`` here,
+    once, rather than inside every unit as a retried failure.
     """
     from repro.parallel.executor import parallel_map
 
+    active_plan()
     items = list(items)
     policy = fail_policy if fail_policy is not None else FailPolicy()
     retry_policy = retry if retry is not None else RetryPolicy()

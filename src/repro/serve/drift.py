@@ -34,8 +34,9 @@ way they alert on latency.
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -101,13 +102,24 @@ class DriftMonitor:
             )
             self._low = self._low - margin
             self._high = self._high + margin
+            self._row_bounds: Optional[List[Tuple[str, float, float]]] = list(
+                zip(self.attributes, self._low.tolist(), self._high.tolist())
+            )
         else:
             self._low = None
             self._high = None
+            self._row_bounds = None
 
     def observe(self, X: np.ndarray) -> None:
-        """Fold one scored batch into the counters (vectorized)."""
+        """Fold one scored batch into the counters.
+
+        One row is counted in Python floats, a larger batch vectorized;
+        both count the same rows.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.shape[0] == 1:
+            self._observe_row(X[0].tolist())
+            return
         if X.shape[0] == 0:
             return
         # NaN/inf would compare false against every range bound and
@@ -135,14 +147,49 @@ class DriftMonitor:
             for name, count in violations:
                 self.violations[name] = self.violations.get(name, 0) + count
 
-    def observe_predictions(self, predictions: np.ndarray) -> None:
+    def _observe_row(self, x: List[float]) -> None:
+        """:meth:`observe` of one row, in Python floats."""
+        nonfinite = not all(map(math.isfinite, x))
+        out_of_range = [] if self._row_bounds is None else [
+            name for (name, low, high), value in zip(self._row_bounds, x)
+            if value < low or value > high
+        ]
+        violations = [
+            invariant.name for invariant, count in zip(
+                self._invariants.invariants, self._invariants.count_row(x)
+            ) if count
+        ]
+        with self._lock:
+            self.rows_seen += 1
+            self.nan_inputs += nonfinite
+            for name in out_of_range:
+                self.out_of_range[name] = self.out_of_range.get(name, 0) + 1
+            for name in violations:
+                self.violations[name] = self.violations.get(name, 0) + 1
+
+    def observe_predictions(self, predictions: Union[float, np.ndarray]) -> None:
         """Check a batch of model outputs against the certified bound.
 
         Non-finite predictions always count as out-of-bounds (they are
         inside no interval); finite ones only when a certified
-        ``output_interval`` exists to compare against.
+        ``output_interval`` exists to compare against.  One value (a
+        float or a one-element array) is checked in Python floats.
         """
-        predictions = np.asarray(predictions, dtype=np.float64).ravel()
+        if not isinstance(predictions, float):
+            predictions = np.asarray(predictions, dtype=np.float64).ravel()
+            if predictions.shape[0] != 1:
+                self._observe_prediction_batch(predictions)
+                return
+            predictions = float(predictions[0])
+        bad = not math.isfinite(predictions) or (
+            self.output_interval is not None
+            and not self.output_interval[0] <= predictions <= self.output_interval[1]
+        )
+        with self._lock:
+            self.predictions_seen += 1
+            self.out_of_bounds_predictions += bad
+
+    def _observe_prediction_batch(self, predictions: np.ndarray) -> None:
         if predictions.shape[0] == 0:
             return
         finite = np.isfinite(predictions)

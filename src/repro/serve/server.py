@@ -35,26 +35,31 @@ The CLI wires SIGTERM to this path so an orchestrator's stop is never a
 dropped request.
 
 Transport: :class:`ServeHTTPServer` listens and
-:class:`ServeRequestHandler` sends each reply as one flushed write with
-Nagle off, so keep-alive replies never wait on a delayed ACK.
+:class:`ServeRequestHandler` parses each request head as bytes and
+sends each reply as one flushed write with Nagle off, so keep-alive
+replies never wait on a delayed ACK.
 """
 
 from __future__ import annotations
 
+import email.utils
 import json
 import math
+import re
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.analysis.contribution import leaf_contributions
+from repro.core.analysis.contribution import contributions_at_leaf
 from repro.core.tree.m5 import M5Prime
-from repro.core.tree.node import SplitNode
+from repro.core.tree.node import path_to_leaf
+from repro.core.tree.smoothing import path_prediction
 from repro.errors import (
     DataError,
     OverloadError,
@@ -82,6 +87,27 @@ SCHEMA = "repro-serve/1"
 
 #: One scored row of a single tree: its prediction and LM number.
 _SCORED = np.dtype([("prediction", np.float64), ("leaf_id", np.int64)])
+
+#: ``http.client``'s limits: bytes in one header line, header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+#: A header line: a token name, then a colon (the value follows it).
+_FIELD = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):(.*)")
+
+#: The ``Date`` header of the current whole second, ``(second, text)``;
+#: replaced whole, so a reader never sees one half of an update.
+_date: Tuple[int, str] = (0, "")
+
+
+def _http_date() -> str:
+    global _date
+    now = int(time.time())
+    second, text = _date
+    if second != now:
+        text = email.utils.formatdate(now, usegmt=True)
+        _date = (now, text)
+    return text
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -123,16 +149,40 @@ class ServeHTTPServer(ThreadingHTTPServer):
             super().shutdown()
 
 
-class ServeRequestHandler(BaseHTTPRequestHandler):
-    """The reply transport.
+class RequestHeaders:
+    """A request's header fields as :meth:`ServeRequestHandler.parse_request`
+    read them: names match case-insensitively, :meth:`get` answers a
+    name's first value and :meth:`get_all` all of them in arrival order."""
 
-    ``http.server`` sends a reply's headers and body as two ``send()``
-    calls.  With Nagle's algorithm on, the body then waits for the
+    __slots__ = ("_values",)
+
+    def __init__(self) -> None:
+        self._values: Dict[str, List[str]] = {}
+
+    def add(self, name: str, value: str) -> None:
+        self._values.setdefault(name.lower(), []).append(value)
+
+    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        values = self._values.get(name.lower())
+        return values[0] if values else default
+
+    def get_all(self, name: str) -> List[str]:
+        return list(self._values.get(name.lower(), ()))
+
+
+class ServeRequestHandler(BaseHTTPRequestHandler):
+    """The request and reply transport.
+
+    ``http.server`` hands each request's header block to the ``email``
+    package, and sends a reply's headers and body as two ``send()``
+    calls; with Nagle's algorithm on, the body then waits for the
     client's delayed ACK — about 40 ms on Linux — on every keep-alive
-    reply.  Here the write file is buffered and Nagle is off (the
-    pairing ``socketserver`` recommends), and :meth:`reply` flushes
-    headers and body together, so a transport error (the client went
-    away) raises inside the reply helper where the caller counts it.
+    reply.  Here :meth:`parse_request` reads the head as bytes, the
+    write file is buffered and Nagle is off (the pairing
+    ``socketserver`` recommends), and :meth:`reply` writes the formatted
+    head and the body at once and flushes them, so a transport error
+    (the client went away) raises inside the reply helper where the
+    caller counts it.
     """
 
     protocol_version = "HTTP/1.1"
@@ -144,6 +194,79 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
+    def parse_request(self) -> bool:
+        """Parse the request line and header block; False once refused.
+
+        HTTP/1.0 closes after the reply unless it asks for
+        ``keep-alive``, HTTP/1.1 stays open unless it asks to
+        ``close``; HTTP/2.0 and later are refused with 505, and any
+        other version, a request line that is not three words (HTTP/0.9
+        among them) and a malformed header line (no colon, blanks
+        before it, an obs-fold continuation) with 400.  A header line
+        over 65,536 bytes or more than 100 of them answer 431.  Every
+        refusal goes out through ``send_error``.
+        """
+        self.command = None
+        # Anything but HTTP/0.9 lets send_error write a status line.
+        self.request_version = ""
+        self.close_connection = True
+        line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = line
+        words = line.split()
+        if len(words) != 3:
+            return self._refuse(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({line!r})"
+            )
+        command, path, version = words
+        number = _VERSION.fullmatch(version)
+        major = 0 if number is None else int(number[1])
+        if major == 0:
+            return self._refuse(
+                HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})"
+            )
+        if major >= 2:
+            return self._refuse(
+                HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                f"Invalid HTTP version ({version})",
+            )
+        self.command, self.request_version = command, version
+        # As http.server does: a leading "//" would read as a host.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        headers = RequestHeaders()
+        for count in range(_MAX_HEADERS + 1):
+            raw = self.rfile.readline(_MAX_LINE + 1)
+            if len(raw) > _MAX_LINE:
+                return self._refuse(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long"
+                )
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            if count == _MAX_HEADERS:
+                return self._refuse(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                )
+            field = _FIELD.match(raw)
+            if field is None:
+                return self._refuse(HTTPStatus.BAD_REQUEST, "Bad header line")
+            headers.add(
+                field[1].decode("ascii"),
+                field[2].strip(b" \t\r").decode("iso-8859-1"),
+            )
+        self.headers = headers
+        http11 = int(number[2]) >= 1
+        connection = (headers.get("Connection") or "").lower()
+        self.close_connection = connection == "close" or (
+            not http11 and connection != "keep-alive"
+        )
+        if http11 and (headers.get("Expect") or "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
+
+    def _refuse(self, status: HTTPStatus, message: str) -> bool:
+        self.send_error(status, message)
+        return False
+
     def handle_expect_100(self) -> bool:
         # The interim 100 must reach the client before it sends the body.
         super().handle_expect_100()
@@ -154,13 +277,20 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         self, status: int, body: bytes,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        """Send one complete reply and flush it before returning."""
-        self.send_response(status)
+        """Send one complete reply and flush it before returning.
+
+        The head — status line, ``Server``, ``Date``, the caller's
+        headers, ``Content-Length`` — is formatted in one string and
+        leaves with the body in one write.
+        """
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\nDate: {_http_date()}\r\n"
+        )
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+            head += f"{name}: {value}\r\n"
+        head += f"Content-Length: {len(body)}\r\n\r\n"
+        self.wfile.write(head.encode("latin-1") + body)
         self.wfile.flush()
 
     def reply_json(
@@ -329,11 +459,23 @@ class ModelServer:
                 drift.observe_predictions(predictions)
                 return predictions
         else:
+            root = model.root_
+
             # Predictions and LM numbers from one route, returned per
-            # batch: the arena is shared with /explain and must not
-            # carry a batch's state.
+            # batch: the arena is shared by every caller of the model
+            # and must not carry a batch's state.  A lone row takes the
+            # interpreted walk, which the arena reproduces bit for bit,
+            # without the arena's fixed numpy cost.
             def evaluate(X: np.ndarray) -> np.ndarray:
                 drift.observe(X)
+                if X.shape[0] == 1:
+                    x = X[0].tolist()
+                    path = path_to_leaf(root, x)
+                    prediction = path_prediction(path, x, smoothing_k)
+                    drift.observe_predictions(prediction)
+                    return np.array(
+                        [(prediction, path[-1].leaf_id)], dtype=_SCORED
+                    )
                 predictions, nodes = compiled.predict_routed(
                     X, smoothing_k=smoothing_k
                 )
@@ -501,19 +643,24 @@ class ModelServer:
                 "/explain takes one \"section\"; batch explanations are "
                 "a /predict + per-section /explain loop"
             )
-        x = X[0]
         served.drift.observe(X)
+        # One route gives the path, the leaf, the prediction and the
+        # contributions.
+        x = X[0].tolist()
+        nodes = path_to_leaf(model.root_, x)
+        leaf = nodes[-1]
+        prediction = path_prediction(
+            nodes, x, model.smoothing_k if model.smoothing else None
+        )
         path = []
-        for node in model.decision_path(x):
-            if isinstance(node, SplitNode):
-                value = float(x[node.attribute_index])
-                path.append({
-                    "attribute": node.attribute_name,
-                    "threshold": node.threshold,
-                    "value": value,
-                    "branch": "left" if value <= node.threshold else "right",
-                })
-        leaf = model.leaf_for(x)
+        for node in nodes[:-1]:
+            value = x[node.attribute_index]
+            path.append({
+                "attribute": node.attribute_name,
+                "threshold": node.threshold,
+                "value": value,
+                "branch": "left" if value <= node.threshold else "right",
+            })
         contributions = [
             {
                 "event": c.event,
@@ -523,9 +670,8 @@ class ModelServer:
                 "fraction": c.fraction,
                 "potential_gain_percent": c.potential_gain_percent,
             }
-            for c in leaf_contributions(model, x)
+            for c in contributions_at_leaf(leaf, x, model.target_name_)
         ]
-        prediction = float(model.predict(x.reshape(1, -1))[0])
         numbers = [prediction] + [
             value for c in contributions for key, value in c.items()
             if key != "event"
@@ -710,10 +856,21 @@ def _make_handler(app: ModelServer):
                 document["retry_after"] = int(headers["Retry-After"])
             elif reason is not None:
                 document["reason"] = reason
+            if self.close_connection:
+                headers["Connection"] = "close"
             self.reply_json(status, document, headers)
 
         def _read_payload(self) -> Dict:
-            length = int(self.headers.get("Content-Length") or 0)
+            lengths = set(self.headers.get_all("Content-Length"))
+            if len(lengths) > 1 or not all(n.isdecimal() for n in lengths):
+                # Where the body ends is unknown, so nothing after it on
+                # this connection can be read as a request.
+                self.close_connection = True
+                raise ServeError(
+                    "Content-Length must be one decimal integer, got "
+                    f"{sorted(lengths)}"
+                )
+            length = int(lengths.pop()) if lengths else 0
             if length <= 0:
                 raise ServeError("request needs a JSON body")
             raw = self.rfile.read(length)

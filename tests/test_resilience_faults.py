@@ -136,3 +136,20 @@ class TestActivation:
         monkeypatch.setenv(FAULTS_ENV, "nonsense")
         with pytest.raises(ConfigError):
             active_plan()
+
+    @pytest.mark.parametrize("fail_policy", ["fail_fast", "collect_errors"])
+    def test_bad_env_spec_fails_a_map_once_up_front(
+        self, monkeypatch, fail_policy
+    ):
+        # Not caught, retried and recorded as a unit failure: no unit runs.
+        from repro.resilience import FailPolicy, RetryPolicy, resilient_map
+
+        monkeypatch.setenv(FAULTS_ENV, "bogus:1")
+        calls = []
+        with pytest.raises(ConfigError, match="unknown fault site 'bogus'"):
+            resilient_map(
+                calls.append, [1, 2, 3], n_jobs=1,
+                retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+                fail_policy=FailPolicy(fail_policy),
+            )
+        assert calls == []

@@ -1,5 +1,6 @@
 """Compiled tree inference: bit-identity with the interpreted walk."""
 
+import copy
 import dataclasses
 import json
 
@@ -15,6 +16,7 @@ from repro.core.tree.node import route
 from repro.core.tree.smoothing import smoothed_predict
 from repro.errors import ConfigError, DataError, NotFittedError
 from repro.serve.compiled import compile_tree
+from repro.serve.server import ModelServer
 
 values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64)
 
@@ -101,6 +103,56 @@ class TestBitIdentity:
         assert np.array_equal(
             suite_tree.leaf_ids(X), suite_tree.compiled_.leaf_ids(X)
         )
+
+
+#: Finite values whose leaf-model and smoothing sums overflow.
+_NEAR_LIMIT = (1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@st.composite
+def served_rows(draw):
+    """A fitted tree and rows of arbitrary values, values near the float
+    limit and values lying exactly on the tree's split thresholds; every
+    split also gets a row whose split attribute equals its threshold."""
+    model, probes = draw(fitted_models())
+    compiled = model.compiled_
+    splits = np.flatnonzero(compiled.feature >= 0)
+    cells = st.one_of(
+        values, st.sampled_from(_NEAR_LIMIT),
+        *([st.sampled_from(compiled.threshold[splits].tolist())]
+          if splits.size else []),
+    )
+    rows = draw(hnp.arrays(np.float64, probes.shape, elements=cells))
+    on_split = np.repeat(probes[:1], splits.size, axis=0)
+    on_split[np.arange(splits.size), compiled.feature[splits]] = (
+        compiled.threshold[splits]
+    )
+    return model, np.vstack([rows, on_split])
+
+
+class TestLoneRowWalk:
+    """The server scores a lone row by the interpreted walk and a larger
+    batch through the arena's ``predict_routed``: the same bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(served_rows())
+    def test_walk_matches_predict_routed(self, model_and_rows):
+        model, rows = model_and_rows
+        for smoothing in (False, True):
+            variant = copy.copy(model)
+            variant.smoothing = smoothing
+            evaluate = ModelServer(port=0).add_model("m", variant).queue.evaluate
+            with np.errstate(all="ignore"):
+                predictions, nodes = model.compiled_.predict_routed(
+                    rows, smoothing_k=model.smoothing_k if smoothing else None
+                )
+                lone = np.concatenate(
+                    [evaluate(rows[i:i + 1]) for i in range(rows.shape[0])]
+                )
+            assert lone["prediction"].tobytes() == predictions.tobytes()
+            assert np.array_equal(
+                lone["leaf_id"], model.compiled_.leaf_id[nodes[:, 0]]
+            )
 
 
 class TestCompiledStructure:

@@ -245,15 +245,23 @@ _VALUES = st.one_of(
 )
 
 
+#: Finite values whose rule sides sum past the float limit, added to
+#: the single-row draws.
+_ROW_VALUES = st.one_of(
+    _VALUES,
+    st.sampled_from((1e308, -1e308, 1.7976931348623157e308, 9e307)),
+)
+
+
 @st.composite
-def _batch(draw, names):
+def _batch(draw, names, values=_VALUES):
     """A column subset of ``names`` (in drawn order) and rows over it."""
     columns = draw(st.lists(
         st.sampled_from(names), min_size=1, max_size=len(names), unique=True,
     ))
     n_rows = draw(st.integers(1, 12))
     cells = draw(st.lists(
-        _VALUES, min_size=n_rows * len(columns),
+        values, min_size=n_rows * len(columns),
         max_size=n_rows * len(columns),
     ))
     return columns, np.array(cells, dtype=np.float64).reshape(
@@ -261,17 +269,61 @@ def _batch(draw, names):
     )
 
 
+_RANGES = st.none() | st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+    min_size=len(PREDICTOR_NAMES) + 1,
+    max_size=len(PREDICTOR_NAMES) + 1,
+)
+
+
+def _ranged_model(names, ranges):
+    """An unfitted tree over ``names`` carrying drawn feature ranges."""
+    model = M5Prime()
+    model.attributes_ = list(names)
+    if ranges is not None:
+        # Zero spans (low == high) take the other slack branch.
+        ranges = [(low, low + span * (span > 0.5))
+                  for low, span in ranges[:len(names)]]
+    model.feature_ranges_ = ranges
+    return model
+
+
+def _expected_snapshot(names, X, ranges):
+    """What a monitor with slack 0.1 must count over rows ``X``, from
+    ``check_dataset`` and plain comparisons."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        found = check_dataset(
+            {name: X[:, i] for i, name in enumerate(names)},
+            applicable_invariants(METRIC_INVARIANTS, names),
+            check_negative=False,
+        )
+    expected_range = {}
+    for i, name in enumerate(names if ranges is not None else ()):
+        low, high = ranges[i]
+        span = high - low
+        margin = 0.1 * (span if span > 0 else max(abs(high), 1.0))
+        count = sum(
+            value < low - margin or value > high + margin
+            for value in X[:, i]
+        )
+        if count:
+            expected_range[name] = count
+    return {
+        "rows_seen": X.shape[0],
+        "invariant_violations": {v.invariant: v.n_rows for v in found},
+        "nan_inputs": sum(
+            not all(np.isfinite(value) for value in row) for row in X
+        ),
+        "out_of_range": expected_range,
+    }
+
+
 class TestDriftMonitorOracle:
     """The compiled drift check against ``check_dataset``, its reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        batch=_batch(PREDICTOR_NAMES + ("Extra",)),
-        ranges=st.none() | st.lists(
-            st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
-            min_size=len(PREDICTOR_NAMES) + 1,
-            max_size=len(PREDICTOR_NAMES) + 1,
-        ),
+        batch=_batch(PREDICTOR_NAMES + ("Extra",)), ranges=_RANGES,
         cut=st.integers(0, 12),
     )
     # The instruction mix sums to the rule's threshold left to right but
@@ -283,43 +335,96 @@ class TestDriftMonitorOracle:
     )
     def test_observe_counts_match_check_dataset(self, batch, ranges, cut):
         names, X = batch
-        model = M5Prime()
-        model.attributes_ = list(names)
-        if ranges is not None:
-            # Zero spans (low == high) take the other slack branch.
-            ranges = [(low, low + span * (span > 0.5))
-                      for low, span in ranges[:len(names)]]
-        model.feature_ranges_ = ranges
+        model = _ranged_model(names, ranges)
         monitor = DriftMonitor(model, range_slack=0.1)
-        rules = applicable_invariants(METRIC_INVARIANTS, names)
         with np.errstate(invalid="ignore", over="ignore"):
             # Two batches: the counters accumulate.
             monitor.observe(X[:cut])
             monitor.observe(X[cut:])
-            found = check_dataset(
-                {name: X[:, i] for i, name in enumerate(names)},
-                rules, check_negative=False,
-            )
         snapshot = monitor.snapshot()
-        assert snapshot["invariant_violations"] == {
-            v.invariant: v.n_rows for v in found
-        }
-        assert snapshot["nan_inputs"] == sum(
-            not all(np.isfinite(value) for value in row) for row in X
+        expected = _expected_snapshot(names, X, model.feature_ranges_)
+        assert {key: snapshot[key] for key in expected} == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=_batch(PREDICTOR_NAMES + ("Extra",), _ROW_VALUES),
+        ranges=_RANGES,
+    )
+    @example(
+        batch=(["InstLd", "InstSt", "BrMisPr", "BrPred", "InstOther"],
+               np.array([[1.0 + 1e-6, 6e-17, 6e-17, 0.0, 0.0]])),
+        ranges=None,
+    )
+    # Between one and two tolerances above the right-hand side, at the
+    # 1.0 floor and at twice it: the tolerance is 1e-6 * max(1, |rhs|).
+    @example(
+        batch=(["L2M", "L1DM"],
+               np.array([[0.5 + 1.5e-6, 0.5], [-2.0 + 1.5e-6, -2.0],
+                         [2.0 + 3e-6, 2.0]])),
+        ranges=None,
+    )
+    def test_single_rows_count_as_check_dataset(self, batch, ranges):
+        # Row by row, through the one-row count in Python floats, which
+        # overflows without a warning.
+        names, X = batch
+        model = _ranged_model(names, ranges)
+        monitor = DriftMonitor(model, range_slack=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in X:
+                monitor.observe(row)
+        snapshot = monitor.snapshot()
+        expected = _expected_snapshot(names, X, model.feature_ranges_)
+        assert {key: snapshot[key] for key in expected} == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table=st.sampled_from(["metric", "raw"]),
+        data=st.data(),
+    )
+    def test_count_row_is_count_of_one_row(self, table, data):
+        # Absent columns, "positive" rules (raw counts), NaN, infinities
+        # and overflowing sums: the one-row count and the vectorized
+        # count of that row agree, and both flag what check_dataset does.
+        if table == "metric":
+            rules, names = METRIC_INVARIANTS, PREDICTOR_NAMES + ("Extra",)
+        else:
+            rules = RAW_COUNT_INVARIANTS
+            names = tuple(event.name for event in ALL_EVENTS)
+        columns, X = data.draw(_batch(names, _ROW_VALUES))
+        compiled = InvariantTable(rules, columns)
+        for row in X:
+            with np.errstate(invalid="ignore", over="ignore"):
+                vectorized = compiled.count(row[None, :]).tolist()
+                found = check_dataset(
+                    {name: [row[i]] for i, name in enumerate(columns)},
+                    rules, check_negative=False,
+                )
+            one = compiled.count_row(row.tolist())
+            assert one == vectorized
+            assert {
+                inv.name for inv, count in zip(rules, one) if count
+            } == {v.invariant for v in found}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        predictions=st.lists(_ROW_VALUES, min_size=2, max_size=12),
+        interval=st.none() | st.tuples(
+            st.floats(-2.0, 0.5), st.floats(0.5, 2.0)
+        ),
+    )
+    def test_single_predictions_count_as_the_batch(
+        self, predictions, interval
+    ):
+        model = _ranged_model(PREDICTOR_NAMES, None)
+        one, batch = (
+            DriftMonitor(model, output_interval=interval) for _ in range(2)
         )
-        expected_range = {}
-        for i, name in enumerate(names if ranges is not None else ()):
-            low, high = ranges[i]
-            span = high - low
-            margin = 0.1 * (span if span > 0 else max(abs(high), 1.0))
-            count = sum(
-                value < low - margin or value > high + margin
-                for value in X[:, i]
-            )
-            if count:
-                expected_range[name] = count
-        assert snapshot["out_of_range"] == expected_range
-        assert snapshot["rows_seen"] == X.shape[0]
+        for i, value in enumerate(predictions):
+            # A float, and a one-element array, take the one-value path.
+            one.observe_predictions(value if i % 2 else np.array([value]))
+        batch.observe_predictions(np.array(predictions))
+        assert one.snapshot() == batch.snapshot()
 
     def test_counts_match_check_dataset_near_the_float_limit(self):
         # Finite rows whose rule sides sum past the float limit: both

@@ -1,7 +1,9 @@
 """The HTTP surface: envelopes, errors, batching, and the e2e flow."""
 
+import email.utils
 import errno
 import http.client
+import io
 import json
 import os
 import selectors
@@ -9,6 +11,7 @@ import socket
 import sys
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 import warnings
@@ -17,12 +20,13 @@ import numpy as np
 import pytest
 
 from repro.baselines.bagging import BaggedM5
+from repro.core.analysis.contribution import leaf_contributions
 from repro.core.tree import M5Prime
 from repro.counters import PREDICTOR_NAMES
 from repro.errors import ServeError, TaskTimeoutError
 from repro.serve.batching import BatchQueue
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import SCHEMA, ModelServer
+from repro.serve.server import SCHEMA, ModelServer, ServeRequestHandler
 
 
 @pytest.fixture
@@ -229,6 +233,287 @@ class TestKeepAlive:
             assert sock.recv(65536).startswith(b"HTTP/1.1 200")
 
 
+def read_reply(sock):
+    """One reply off a raw socket: its status line, its headers as
+    ``(name, value)`` pairs in order, and its body."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed inside a reply head: {data!r}"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status, *lines = head.decode("latin-1").split("\r\n")
+    headers = [tuple(line.split(": ", 1)) for line in lines]
+    length = int(dict(headers)["Content-Length"])
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed inside a reply body"
+        body += chunk
+    assert len(body) == length, "bytes after the reply"
+    return status, headers, body
+
+
+def exchange(server, data, timeout=2.0):
+    """Send raw bytes on a new connection and read one reply; returns the
+    reply and whether the server then closed the connection (judged by
+    a second request on it)."""
+    with socket.create_connection(
+        ("127.0.0.1", server.bound_port), timeout=timeout
+    ) as sock:
+        sock.sendall(data)
+        reply = read_reply(sock)
+        try:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            closed = sock.recv(65536) == b""
+        except (BrokenPipeError, ConnectionResetError):
+            closed = True
+    return reply, closed
+
+
+def predict_request(section, version="HTTP/1.1", headers=()):
+    body = json.dumps({"section": section}).encode()
+    head = [f"POST /predict {version}", "Host: x", *headers]
+    if not any(h.lower().startswith("content-length") for h in headers):
+        head.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+class TestRequestHead:
+    """The bytes-level request-head parse, over raw sockets."""
+
+    @pytest.mark.parametrize("version, connection, closed", [
+        ("HTTP/1.1", None, False),
+        ("HTTP/1.1", "close", True),
+        ("HTTP/1.1", "Close", True),
+        ("HTTP/1.0", None, True),
+        ("HTTP/1.0", "keep-alive", False),
+    ])
+    def test_connection_persistence(
+        self, server, suite_dataset, version, connection, closed
+    ):
+        headers = () if connection is None else (f"Connection: {connection}",)
+        (status, _, body), was_closed = exchange(server, predict_request(
+            suite_dataset.X[0].tolist(), version, headers
+        ))
+        assert status == "HTTP/1.1 200 OK"
+        assert json.loads(body)["n"] == 1
+        assert was_closed is closed
+
+    @pytest.mark.parametrize("version", ["HTTP/2.0", "HTTP/3.0", "HTTP/10.0"])
+    def test_http2_and_later_get_505(self, server, version):
+        (status, _, _), closed = exchange(
+            server, f"GET /healthz {version}\r\nHost: x\r\n\r\n".encode()
+        )
+        assert status.startswith("HTTP/1.1 505 ")
+        assert closed
+
+    @pytest.mark.parametrize("version", [
+        "HTTP/1", "HTTP/1.1.1", "HTTP/x.1", "HTTPS/1.1", "http/1.1",
+        "HTTP/0.9", "HTTP/1.12345678901",
+    ])
+    def test_other_versions_get_400(self, server, version):
+        (status, _, _), closed = exchange(
+            server, f"GET /healthz {version}\r\nHost: x\r\n\r\n".encode()
+        )
+        assert status.startswith("HTTP/1.1 400 ")
+        assert closed
+
+    @pytest.mark.parametrize("line", [
+        b"GET /healthz\r\n",  # HTTP/0.9 sends no header block
+        b"GET\r\n",
+        b"\r\n",
+        b"GET /healthz extra HTTP/1.1\r\n\r\n",
+    ])
+    def test_request_line_of_other_than_three_words_gets_400(
+        self, server, line
+    ):
+        (status, _, _), closed = exchange(server, line)
+        assert status.startswith("HTTP/1.1 400 ")
+        assert closed
+
+    def test_leading_double_slash_is_one_slash(self, server):
+        (status, _, body), _ = exchange(
+            server, b"GET //healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert status == "HTTP/1.1 200 OK"
+        assert json.loads(body)["status"] == "ok"
+
+    @pytest.mark.parametrize("size, status", [
+        (65536, "HTTP/1.1 200 OK"),
+        (65537, "HTTP/1.1 431 Line too long"),
+    ])
+    def test_header_line_limit(self, server, size, status):
+        line = b"X-Long: " + b"a" * (size - 10) + b"\r\n"
+        assert len(line) == size
+        (got, _, _), _ = exchange(
+            server, b"GET /healthz HTTP/1.1\r\n" + line + b"\r\n"
+        )
+        assert got == status
+
+    @pytest.mark.parametrize("count, status", [
+        (100, "HTTP/1.1 200 OK"),
+        (101, "HTTP/1.1 431 Too many headers"),
+    ])
+    def test_header_count_limit(self, server, count, status):
+        lines = b"".join(b"X-%d: 1\r\n" % i for i in range(count))
+        (got, _, _), _ = exchange(
+            server, b"GET /healthz HTTP/1.1\r\n" + lines + b"\r\n"
+        )
+        assert got == status
+
+    @pytest.mark.parametrize("name", [
+        "content-length", "CONTENT-LENGTH", "Content-length",
+    ])
+    def test_header_names_match_in_any_case(self, server, suite_dataset, name):
+        section = suite_dataset.X[0].tolist()
+        length = len(json.dumps({"section": section}))
+        (status, _, body), _ = exchange(server, predict_request(
+            section, headers=(f"{name}: {length}",)
+        ))
+        assert status == "HTTP/1.1 200 OK"
+        assert json.loads(body)["n"] == 1
+
+    @pytest.mark.parametrize("first, second, closed", [
+        ("close", "keep-alive", True),
+        ("keep-alive", "close", False),
+    ])
+    def test_first_occurrence_of_a_name_wins(
+        self, server, first, second, closed
+    ):
+        (status, _, _), was_closed = exchange(server, (
+            f"GET /healthz HTTP/1.1\r\nConnection: {first}\r\n"
+            f"connection: {second}\r\n\r\n"
+        ).encode())
+        assert status == "HTTP/1.1 200 OK"
+        assert was_closed is closed
+
+    @pytest.mark.parametrize("line", [
+        b"no colon here",  # the parent dropped every header after it
+        b"Connection : close",  # blank before the colon (RFC 7230 3.2.4)
+        b" folded continuation",  # obs-fold
+        b": no name",
+    ], ids=["no-colon", "blank-before-colon", "obs-fold", "no-name"])
+    def test_malformed_header_line_gets_400(self, server, line):
+        (status, _, _), closed = exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\nX-A: 1\r\n" + line
+            + b"\r\nConnection: close\r\n\r\n",
+        )
+        assert status.startswith("HTTP/1.1 400 ")
+        assert closed
+
+    @pytest.mark.parametrize("values", [
+        ("abc",), ("12x",), ("1e3",), ("-5",), ("+5",), ("1_0",),
+        ("",), ("5", "6"),
+    ])
+    def test_malformed_content_length_gets_400_envelope(
+        self, server, suite_dataset, values
+    ):
+        (status, headers, body), closed = exchange(server, predict_request(
+            suite_dataset.X[0].tolist(),
+            headers=[f"Content-Length: {value}" for value in values],
+        ))
+        assert status == "HTTP/1.1 400 Bad Request"
+        document = json.loads(body)
+        assert document["schema"] == SCHEMA and document["status"] == 400
+        assert "Content-Length" in document["error"]
+        # Where the body ends is unknown: the connection ends here.
+        assert ("Connection", "close") in headers
+        assert closed
+
+    def test_repeated_equal_content_length_is_one(self, server, suite_dataset):
+        section = suite_dataset.X[0].tolist()
+        length = len(json.dumps({"section": section}))
+        (status, _, _), closed = exchange(server, predict_request(
+            section, headers=[f"Content-Length: {length}"] * 2,
+        ))
+        assert status == "HTTP/1.1 200 OK"
+        assert not closed
+
+
+class TestReplyHead:
+    def test_head_order(self, server, suite_dataset):
+        (status, headers, body), _ = exchange(server, predict_request(
+            suite_dataset.X[0].tolist()
+        ))
+        assert status == "HTTP/1.1 200 OK"
+        assert [name for name, _ in headers] == [
+            "Server", "Date", "Content-Type", "Content-Length",
+        ]
+        values = dict(headers)
+        assert values["Server"].startswith("repro-serve/1 Python/")
+        assert values["Content-Type"] == "application/json"
+        assert int(values["Content-Length"]) == len(body)
+        # RFC 7231's IMF-fixdate, as http.server formats it.
+        assert time.strptime(values["Date"], "%a, %d %b %Y %H:%M:%S GMT")
+
+    def test_reply_leaves_in_one_write(self):
+        class Recorder(io.BytesIO):
+            writes = flushes = 0
+
+            def write(self, data):
+                self.writes += 1
+                return super().write(data)
+
+            def flush(self):
+                self.flushes += 1
+
+        handler = object.__new__(ServeRequestHandler)
+        handler.wfile = Recorder()
+        handler.reply_json(200, {"x": 1})
+        assert (handler.wfile.writes, handler.wfile.flushes) == (1, 1)
+        assert handler.wfile.getvalue().startswith(b"HTTP/1.1 200 OK\r\n")
+        assert handler.wfile.getvalue().endswith(
+            b"\r\nContent-Length: 8\r\n\r\n{\"x\": 1}"
+        )
+
+    def test_503_head_carries_retry_after_before_length(
+        self, tmp_path, suite_tree, suite_dataset
+    ):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.publish("cpi-tree", suite_tree)
+        srv = ModelServer(
+            registry=registry, default_model="cpi-tree@latest", port=0,
+            max_inflight=1,
+        )
+        srv.start()
+        srv.serve_in_background()
+        srv.begin_request()
+        try:
+            (status, headers, _), _ = exchange(srv, predict_request(
+                suite_dataset.X[0].tolist()
+            ))
+        finally:
+            srv.end_request()
+            srv.shutdown(drain_timeout=1.0)
+        assert status == "HTTP/1.1 503 Service Unavailable"
+        assert [name for name, _ in headers] == [
+            "Server", "Date", "Content-Type", "Retry-After", "Content-Length",
+        ]
+
+    def test_date_is_formatted_once_a_second(self, monkeypatch):
+        from repro.serve import server as module
+
+        calls = []
+        clock = iter([1e9, 1e9 + 0.4, 1e9 + 0.99, 1e9 + 1.0])
+
+        def formatdate(timeval, usegmt):
+            calls.append(timeval)
+            return email.utils.formatdate(timeval, usegmt=usegmt)
+
+        monkeypatch.setattr(module, "_date", (0, ""))
+        monkeypatch.setattr(module, "time", types.SimpleNamespace(
+            time=lambda: next(clock)
+        ))
+        monkeypatch.setattr(module, "email", types.SimpleNamespace(
+            utils=types.SimpleNamespace(formatdate=formatdate)
+        ))
+        dates = [module._http_date() for _ in range(4)]
+        assert dates[:3] == ["Sun, 09 Sep 2001 01:46:40 GMT"] * 3
+        assert dates[3] == "Sun, 09 Sep 2001 01:46:41 GMT"
+        assert calls == [1000000000, 1000000001]
+
+
 class TestExplainEnvelope:
     def test_golden_envelope(self, server, suite_tree, suite_dataset):
         x = suite_dataset.X[0]
@@ -251,6 +536,47 @@ class TestExplainEnvelope:
                 "coefficient", "cycles", "event", "fraction",
                 "potential_gain_percent", "value",
             ]
+
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_matches_the_in_process_reference(self, suite_dataset, smoothing):
+        # Path, leaf, prediction and contributions come from one route
+        # over the row as Python floats: the bits of predict and of
+        # leaf_contributions over the numpy row.
+        model = M5Prime(min_instances=12, smoothing=smoothing).fit(
+            suite_dataset
+        )
+        srv = ModelServer(port=0)
+        srv.add_model("m", model)
+        srv.start()
+        srv.serve_in_background()
+        try:
+            for x in suite_dataset.X[::7]:
+                status, document = call(srv, "/explain", {"section": x.tolist()})
+                assert status == 200, document
+                row = x.reshape(1, -1)
+                assert document["prediction"] == float(model.predict(row)[0])
+                assert document["leaf"] == int(model.leaf_ids(row)[0])
+                nodes = model.decision_path(x)
+                assert [
+                    (step["attribute"], step["value"], step["branch"])
+                    for step in document["path"]
+                ] == [
+                    (node.attribute_name, float(x[node.attribute_index]),
+                     "left" if x[node.attribute_index] <= node.threshold
+                     else "right")
+                    for node in nodes[:-1]
+                ]
+                assert [
+                    tuple(c.values()) for c in document["contributions"]
+                ] == [
+                    (c.event, c.coefficient, c.value, c.cycles, c.fraction,
+                     c.potential_gain_percent)
+                    for c in leaf_contributions(model, x)
+                ]
+                status, scored = call(srv, "/predict", {"section": x.tolist()})
+                assert scored["predictions"] == [document["prediction"]]
+        finally:
+            srv.shutdown()
 
     def test_batch_explain_rejected(self, server, suite_dataset):
         status, document = call(
