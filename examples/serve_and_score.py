@@ -5,7 +5,7 @@ Runs the serving pipeline end to end, in one process:
 1. simulate a small suite and train an M5' tree of CPI,
 2. publish it into a model registry (versioned, checksummed),
 3. preflight the registry (compiled/interpreted parity, drift ranges),
-4. start the batching HTTP server on an ephemeral port,
+4. start the HTTP server on an ephemeral port,
 5. score sections through ``/predict``, explain one with ``/explain``,
    and scrape the Prometheus ``/metrics`` page.
 

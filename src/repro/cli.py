@@ -14,7 +14,7 @@ Subcommands mirror the paper's workflow:
 * ``repro verify``      — abstract interpretation over a saved tree or
   forest, with its certificate (published models: ``repro lint
   --registry``; the conformance corpus: ``repro conformance``)
-* ``repro serve``       — batched HTTP model server over the registry
+* ``repro serve``       — HTTP model server over the registry
 * ``repro workloads``   — list the synthetic suite
 * ``repro cache``       — inspect or clear the on-disk artifact cache
 * ``repro faults``      — describe the active fault-injection spec
@@ -278,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="serve registry models over batched JSON HTTP",
+        help="serve registry models over JSON HTTP",
         description="Answer /predict, /explain, /models, /healthz and "
-        "/metrics from published registry models, coalescing concurrent "
-        "requests into compiled-tree batches.  Publish with "
+        "/metrics from published registry models, scoring each request "
+        "on the thread that received it.  Publish with "
         "`repro train --publish NAME` first.",
     )
     serve.add_argument("--host", default="127.0.0.1",
@@ -293,12 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "requests name none (e.g. cpi-tree@latest)")
     serve.add_argument("--registry", metavar="DIR", default=None,
                        help="registry directory (default: <cache>/registry)")
-    serve.add_argument("--max-batch", type=int, default=256,
-                       help="rows per coalesced predictor batch (default 256)")
-    serve.add_argument("--task-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-request wall-clock budget; past it the "
-                       "request fails with 503 (default: none)")
     serve.add_argument("--drain-timeout", type=float, default=5.0,
                        metavar="SECONDS",
                        help="how long SIGTERM lets in-flight requests "
@@ -311,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the startup preflight (registry, "
                        "integrity, compiled-vs-interpreted parity) and "
                        "exit instead of serving")
-    _add_jobs_argument(serve)
 
     conformance = sub.add_parser(
         "conformance",
@@ -877,7 +870,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         render_preflight,
     )
 
-    _set_default_jobs(args.jobs)
     registry = ModelRegistry(Path(args.registry) if args.registry else None)
     if args.check:
         results = preflight(registry, model_spec=args.model)
@@ -888,8 +880,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_model=args.model,
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
-        task_timeout=args.task_timeout,
         max_inflight=args.max_inflight,
     )
     server.start()

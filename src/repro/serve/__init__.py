@@ -1,4 +1,4 @@
-"""Model serving: compiled inference, registry, batching server, metrics.
+"""Model serving: compiled inference, registry, HTTP server, metrics.
 
 The training stack (``repro.core``) grows trees; this package answers
 with them at interactive latency:
@@ -16,10 +16,9 @@ with them at interactive latency:
   model storage (``cpi-tree@latest``) on the artifact cache; publishing
   is gated by the static verifier (:mod:`repro.verify`) and stores the
   verification certificate beside each blob.
-* :mod:`repro.serve.batching` — request coalescing with per-request
-  deadlines.
 * :mod:`repro.serve.server` — the stdlib HTTP surface
-  (``/predict``, ``/explain``, ``/models``, ``/healthz``, ``/metrics``).
+  (``/predict``, ``/explain``, ``/models``, ``/healthz``, ``/metrics``);
+  each request is scored on the handler thread that received it.
 * :mod:`repro.serve.drift` — online out-of-range, non-finite-input,
   invariant, and certified-prediction-bound monitoring of scored
   traffic.
@@ -27,7 +26,6 @@ with them at interactive latency:
   (including static verification of every resolved artifact).
 """
 
-from repro.serve.batching import BatchQueue
 from repro.serve.check import CheckResult, preflight, render_preflight
 from repro.serve.compiled import CompiledArena, LeafIndicator, compile_tree
 from repro.serve.drift import DriftMonitor
@@ -37,7 +35,6 @@ from repro.serve.registry import ModelRecord, ModelRegistry, parse_spec
 from repro.serve.server import SCHEMA, ModelServer
 
 __all__ = [
-    "BatchQueue",
     "CheckResult",
     "CompiledArena",
     "Counter",

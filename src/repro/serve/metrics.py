@@ -3,9 +3,8 @@
 Implements just the slice of the exposition format (version 0.0.4) the
 ``/metrics`` endpoint needs — counters, gauges, and cumulative
 histograms with labels — with one lock per registry so request handler
-threads, including the one leading a coalesced batch, can record
-concurrently.  Stdlib-only on purpose: the serving stack must not grow
-dependencies the training stack does not have.
+threads can record concurrently.  Stdlib-only on purpose: the serving
+stack must not grow dependencies the training stack does not have.
 
 Conventions follow the Prometheus client guidelines: counters end in
 ``_total``, histogram buckets are cumulative with a ``+Inf`` terminal,
@@ -35,7 +34,7 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
 
-#: Batch-size histogram bounds in rows.
+#: Rows-per-request histogram bounds.
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024)
 
 LabelValues = Tuple[str, ...]

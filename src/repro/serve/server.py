@@ -1,38 +1,36 @@
-"""The model server: batched tree inference behind a JSON HTTP API.
+"""The model server: compiled tree inference behind a JSON HTTP API.
 
 Stdlib-only (``http.server``): the serving stack must run wherever the
 training stack runs.  A :class:`ModelServer` owns the registry handle,
-a per-model :class:`~repro.serve.batching.BatchQueue` (so concurrent
-requests coalesce into one compiled evaluation), a
-:class:`~repro.serve.drift.DriftMonitor` per model, and the metrics
-registry the ``/metrics`` endpoint renders.
+a scorer and a :class:`~repro.serve.drift.DriftMonitor` per model, and
+the metrics registry the ``/metrics`` endpoint renders.  Each request
+is scored on the handler thread that received it.
 
 Endpoints (all JSON, envelope schema ``repro-serve/1``):
 
-* ``POST /predict`` — score one section or a batch; returns
+* ``POST /predict`` — score one section or several; returns
   predictions plus the paper's LM class per row.
 * ``POST /explain`` — the paper's "what/how much" answers for one
   section: decision path, leaf equation terms, per-event contributions.
 * ``GET /models`` — every published registry version.
 * ``GET /healthz`` — liveness plus the loaded model set.
 * ``GET /metrics`` — Prometheus text format: request counts, latency
-  and batch-size histograms, model-cache hits, drift counters.
+  and rows-per-request histograms, model-cache hits, drift counters.
 
 Error contract: invalid payloads are 400, unknown models/paths 404,
-deadline overruns and shed requests 503 (the
-:class:`~repro.resilience.RunPolicy` ``task_timeout`` semantics and the
-admission-control path), unexpected failures 500 — always as a
-``{"schema": ..., "error": ..., "status": ...}`` JSON body, never a
-traceback page.  Every 503 carries a ``Retry-After`` header and a
-machine-readable ``reason`` (``deadline`` / ``overload`` /
-``draining``) so clients can back off instead of piling on; shed
-requests are counted by the ``repro_shed_total`` metric.
+shed requests 503 (the admission-control path), unexpected failures
+500 — always as a ``{"schema": ..., "error": ..., "status": ...}`` JSON
+body, never a traceback page.  Every 503 carries a ``Retry-After``
+header and a machine-readable ``reason`` (``overload`` / ``draining``)
+so clients can back off instead of piling on; shed requests are counted
+by the ``repro_shed_total`` metric.  A POST refused before its body is
+read also closes its connection, since the unread body would otherwise
+be read as the next request.
 
 Lifecycle: ``shutdown(drain_timeout=...)`` drains gracefully — the
-listening socket closes first (new requests are refused), in-flight
-requests get up to the drain timeout to finish, then batch queues stop.
-The CLI wires SIGTERM to this path so an orchestrator's stop is never a
-dropped request.
+listening socket closes first (new requests are refused), and in-flight
+requests get up to the drain timeout to finish.  The CLI wires SIGTERM
+to this path so an orchestrator's stop is never a dropped request.
 
 Transport: :class:`ServeHTTPServer` listens and
 :class:`ServeRequestHandler` parses each request head as bytes and
@@ -49,10 +47,10 @@ import re
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,9 +64,7 @@ from repro.errors import (
     RegistryError,
     ReproError,
     ServeError,
-    TaskTimeoutError,
 )
-from repro.serve.batching import BatchQueue
 from repro.serve.drift import DriftMonitor
 from repro.serve.metrics import (
     BATCH_SIZE_BUCKETS,
@@ -85,8 +81,9 @@ __all__ = ["ModelServer", "SCHEMA", "ServeHTTPServer"]
 #: Envelope identity on every JSON response; bump on breaking changes.
 SCHEMA = "repro-serve/1"
 
-#: One scored row of a single tree: its prediction and LM number.
-_SCORED = np.dtype([("prediction", np.float64), ("leaf_id", np.int64)])
+#: A model's scorer: a request's rows to their predictions and, for a
+#: single tree, their LM numbers (``None`` for a forest).
+Scorer = Callable[[np.ndarray], Tuple[List[float], Optional[List[int]]]]
 
 #: ``http.client``'s limits: bytes in one header line, header lines.
 _MAX_LINE = 65536
@@ -305,14 +302,13 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
 
 @dataclass
 class ServedModel:
-    """One loaded model (single tree or compiled forest) and its
-    serving machinery."""
+    """One loaded model (single tree or compiled forest), its scorer
+    and its drift monitor."""
 
     label: str
     model: object
-    queue: BatchQueue
+    score: Scorer
     drift: DriftMonitor
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
     def is_forest(self) -> bool:
@@ -328,15 +324,11 @@ class ModelServer:
         default_model: Spec requests use when they name no model.
         host, port: Bind address; port 0 asks the OS for an ephemeral
             port (``bound_port`` reports the outcome).
-        max_batch: Row budget per coalesced evaluation (see
-            :class:`~repro.serve.batching.BatchQueue`).
-        task_timeout: Per-request wall-clock budget in seconds, the
-            ``RunPolicy.task_timeout`` semantics; ``None`` disables.
         range_slack: Drift-monitor range slack (COMPAT003's default).
-        max_inflight: Admission-control cap on concurrently evaluating
-            requests; requests beyond it are shed with 503 +
-            ``Retry-After`` instead of queueing unboundedly.  ``None``
-            disables shedding.
+        max_inflight: Admission-control cap on concurrent evaluations;
+            requests beyond it are shed with 503 + ``Retry-After``
+            instead of queueing unboundedly.  ``None`` disables
+            shedding.
         retry_after_s: Value (seconds) 503 responses advertise in their
             ``Retry-After`` header.
     """
@@ -347,8 +339,6 @@ class ModelServer:
         default_model: Optional[str] = None,
         host: str = "127.0.0.1",
         port: int = 8377,
-        max_batch: int = 256,
-        task_timeout: Optional[float] = None,
         range_slack: float = 0.10,
         max_inflight: Optional[int] = None,
         retry_after_s: float = 1.0,
@@ -361,8 +351,6 @@ class ModelServer:
         self.default_model = default_model
         self.host = host
         self.port = int(port)
-        self.max_batch = int(max_batch)
-        self.task_timeout = task_timeout
         self.range_slack = float(range_slack)
         self.max_inflight = max_inflight
         self.retry_after_s = float(retry_after_s)
@@ -386,7 +374,7 @@ class ModelServer:
         )
         self._batch_rows = self.metrics.histogram(
             "repro_batch_rows",
-            "Rows per coalesced predictor batch.",
+            "Rows per /predict request.",
             buckets=BATCH_SIZE_BUCKETS,
         )
         self._model_cache = self.metrics.counter(
@@ -450,47 +438,46 @@ class ModelServer:
         )
         smoothing_k = model.smoothing_k if model.smoothing else None
 
+        # Scorers run concurrently on the handler threads: they read the
+        # model and its arena and keep no state of their own, and the
+        # drift monitor counts under its lock.  A leaf model that
+        # overflows makes a non-finite prediction, which handle_predict
+        # refuses with 400, so numpy's warning about it is silenced
+        # (np.errstate is local to the thread's context).
         if is_forest:
             # Through the ensemble's own predict so an attached
             # refinement pass (refined_) is honored.
-            def evaluate(X: np.ndarray) -> np.ndarray:
+            def score(X: np.ndarray) -> Tuple[List[float], None]:
                 drift.observe(X)
-                predictions = model.predict(X)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    predictions = model.predict(X)
                 drift.observe_predictions(predictions)
-                return predictions
+                return predictions.tolist(), None
         else:
             root = model.root_
 
-            # Predictions and LM numbers from one route, returned per
-            # batch: the arena is shared by every caller of the model
-            # and must not carry a batch's state.  A lone row takes the
-            # interpreted walk, which the arena reproduces bit for bit,
-            # without the arena's fixed numpy cost.
-            def evaluate(X: np.ndarray) -> np.ndarray:
+            # Predictions and LM numbers from one route.  A lone row
+            # takes the interpreted walk, which the arena reproduces bit
+            # for bit, without the arena's fixed numpy cost.
+            def score(X: np.ndarray) -> Tuple[List[float], List[int]]:
                 drift.observe(X)
                 if X.shape[0] == 1:
                     x = X[0].tolist()
                     path = path_to_leaf(root, x)
                     prediction = path_prediction(path, x, smoothing_k)
                     drift.observe_predictions(prediction)
-                    return np.array(
-                        [(prediction, path[-1].leaf_id)], dtype=_SCORED
+                    return [prediction], [path[-1].leaf_id]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    predictions, nodes = compiled.predict_routed(
+                        X, smoothing_k=smoothing_k
                     )
-                predictions, nodes = compiled.predict_routed(
-                    X, smoothing_k=smoothing_k
-                )
                 drift.observe_predictions(predictions)
-                scored = np.empty(X.shape[0], dtype=_SCORED)
-                scored["prediction"] = predictions
-                scored["leaf_id"] = compiled.leaf_id[nodes[:, 0]]
-                return scored
+                return (
+                    predictions.tolist(),
+                    compiled.leaf_id[nodes[:, 0]].tolist(),
+                )
 
-        queue = BatchQueue(
-            evaluate,
-            max_batch=self.max_batch,
-            observe_batch=lambda n: self._batch_rows.observe(n),
-        ).start()
-        served = ServedModel(label=label, model=model, queue=queue, drift=drift)
+        served = ServedModel(label=label, model=model, score=score, drift=drift)
         with self._models_lock:
             self._models[label] = served
         self._model_info.set(label, value=model.n_leaves)
@@ -519,7 +506,7 @@ class ModelServer:
             if warm is not None:
                 # The spec is new but its blob is already compiled and
                 # serving (an alias flip to a published digest): reuse
-                # the warm queue + drift monitor instead of recompiling.
+                # the warm scorer + drift monitor instead of recompiling.
                 self._models[spec] = warm
                 self._models.setdefault(record.spec, warm)
         if warm is not None:
@@ -611,21 +598,21 @@ class ModelServer:
     def handle_predict(self, payload: Dict) -> Dict:
         served = self.get_model(_optional_str(payload, "model"))
         X, single = _sections_matrix(payload, served.model)
-        scored = served.queue.submit(X, timeout=self.task_timeout)
-        predictions = scored if served.is_forest else scored["prediction"]
+        self._batch_rows.observe(X.shape[0])
+        predictions, leaf_ids = served.score(X)
         _require_finite(np.isfinite(predictions), "prediction")
         document = {
             "schema": SCHEMA,
             "model": served.label,
             "n": int(X.shape[0]),
             "single": single,
-            "predictions": predictions.tolist(),
+            "predictions": predictions,
         }
         if served.is_forest:
             document["n_trees"] = len(served.model.estimators_)
             document["refined"] = served.model.refined_ is not None
         else:
-            document["leaf_ids"] = scored["leaf_id"].tolist()
+            document["leaf_ids"] = leaf_ids
         return document
 
     def handle_explain(self, payload: Dict) -> Dict:
@@ -749,11 +736,11 @@ class ModelServer:
         return thread
 
     def shutdown(self, drain_timeout: float = 5.0) -> bool:
-        """Graceful stop: stop accepting, drain in-flight, stop queues.
+        """Graceful stop: stop accepting, then drain in-flight requests.
 
         New requests are refused (shed with 503 ``draining``) the moment
         this is called; requests already admitted get up to
-        ``drain_timeout`` seconds to finish before batch queues stop.
+        ``drain_timeout`` seconds to finish.
 
         Returns:
             ``True`` when every in-flight request finished within the
@@ -764,14 +751,7 @@ class ModelServer:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
-        drained = self._wait_idle(max(0.0, drain_timeout))
-        with self._models_lock:
-            served = {id(s): s for s in self._models.values()}
-            self._models.clear()
-            self._by_digest.clear()
-        for model in served.values():
-            model.queue.stop()
-        return drained
+        return self._wait_idle(max(0.0, drain_timeout))
 
 
 # ----------------------------------------------------------------------
@@ -847,8 +827,8 @@ def _make_handler(app: ModelServer):
             document = {"schema": SCHEMA, "error": message, "status": status}
             headers: Dict[str, str] = {}
             if status == 503:
-                # Every 503 — deadline or shed — tells clients
-                # when to come back, in whole seconds as RFC 7231 asks.
+                # Every 503 tells clients when to come back, in whole
+                # seconds as RFC 7231 asks.
                 delay = retry_after if retry_after is not None \
                     else app.retry_after_s
                 headers["Retry-After"] = str(max(1, math.ceil(delay)))
@@ -886,25 +866,35 @@ def _make_handler(app: ModelServer):
             app._requests.inc(endpoint, str(status))
             app._latency.observe(time.perf_counter() - started, endpoint)
 
+        def _refuse_unread(
+            self, endpoint: str, started: float, status: int, message: str,
+            reason: Optional[str] = None,
+            retry_after: Optional[float] = None,
+        ) -> None:
+            """Refuse a POST without reading its body, and close the
+            connection: the unread body would be read as the next
+            request on it."""
+            self.close_connection = True
+            try:
+                self._send_error(
+                    status, message, reason=reason, retry_after=retry_after
+                )
+            except OSError:  # client went away
+                status = 499
+            self._finish(endpoint, started, status)
+
         def _dispatch(self, endpoint: str, fn, admit: bool = False) -> None:
             started = time.perf_counter()
             status = 200
-            admitted = False
             if admit:
                 try:
                     app.begin_request()
-                    admitted = True
                 except OverloadError as exc:
                     app.count_shed(exc.reason)
-                    status = 503
-                    try:
-                        self._send_error(
-                            status, str(exc), reason=exc.reason,
-                            retry_after=exc.retry_after,
-                        )
-                    except (BrokenPipeError, OSError):
-                        status = 499
-                    self._finish(endpoint, started, status)
+                    self._refuse_unread(
+                        endpoint, started, 503, str(exc),
+                        reason=exc.reason, retry_after=exc.retry_after,
+                    )
                     return
             try:
                 # Release the admission slot as soon as evaluation is
@@ -915,21 +905,9 @@ def _make_handler(app: ModelServer):
                 try:
                     document = fn()
                 finally:
-                    if admitted:
+                    if admit:
                         app.end_request()
-                        admitted = False
-            except TaskTimeoutError as exc:
-                status = 503
-                app.count_shed("deadline")
-                self._send_error(status, str(exc), reason="deadline")
-            except OverloadError as exc:
-                status = 503
-                app.count_shed(exc.reason)
-                self._send_error(
-                    status, str(exc), reason=exc.reason,
-                    retry_after=exc.retry_after,
-                )
-            except (RegistryError,) as exc:
+            except RegistryError as exc:
                 status = 404
                 self._send_error(status, str(exc))
             except (ServeError, DataError) as exc:
@@ -987,8 +965,8 @@ def _make_handler(app: ModelServer):
                     admit=True,
                 )
             else:
-                started = time.perf_counter()
-                self._send_error(404, f"unknown path {path!r}")
-                self._finish(path, started, 404)
+                self._refuse_unread(
+                    path, time.perf_counter(), 404, f"unknown path {path!r}"
+                )
 
     return Handler

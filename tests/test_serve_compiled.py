@@ -141,18 +141,17 @@ class TestLoneRowWalk:
         for smoothing in (False, True):
             variant = copy.copy(model)
             variant.smoothing = smoothing
-            evaluate = ModelServer(port=0).add_model("m", variant).queue.evaluate
+            score = ModelServer(port=0).add_model("m", variant).score
             with np.errstate(all="ignore"):
                 predictions, nodes = model.compiled_.predict_routed(
                     rows, smoothing_k=model.smoothing_k if smoothing else None
                 )
-                lone = np.concatenate(
-                    [evaluate(rows[i:i + 1]) for i in range(rows.shape[0])]
-                )
-            assert lone["prediction"].tobytes() == predictions.tobytes()
-            assert np.array_equal(
-                lone["leaf_id"], model.compiled_.leaf_id[nodes[:, 0]]
-            )
+            lone = [score(rows[i:i + 1]) for i in range(rows.shape[0])]
+            assert np.array(
+                [p for prediction, _ in lone for p in prediction]
+            ).tobytes() == predictions.tobytes()
+            assert [i for _, leaf_id in lone for i in leaf_id] == \
+                model.compiled_.leaf_id[nodes[:, 0]].tolist()
 
 
 class TestCompiledStructure:

@@ -1,4 +1,4 @@
-"""The HTTP surface: envelopes, errors, batching, and the e2e flow."""
+"""The HTTP surface: envelopes, errors, concurrent scoring, and the e2e flow."""
 
 import email.utils
 import errno
@@ -23,8 +23,8 @@ from repro.baselines.bagging import BaggedM5
 from repro.core.analysis.contribution import leaf_contributions
 from repro.core.tree import M5Prime
 from repro.counters import PREDICTOR_NAMES
-from repro.errors import ServeError, TaskTimeoutError
-from repro.serve.batching import BatchQueue
+from repro.errors import ServeError
+from repro.serve.refine import RefinedForest
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import SCHEMA, ModelServer, ServeRequestHandler
 
@@ -174,14 +174,25 @@ class TestNonFiniteReplies:
         yield srv
         srv.shutdown()
 
+    # Warning filters are process-wide: numpy's overflow warning on the
+    # handler thread would raise there and answer 500.
     @pytest.mark.parametrize("path, payload, message", [
-        ("/predict", {"model": "tree", "sections": [_FINITE_ROW, _HUGE_ROW]},
-         "section 1: the prediction is not finite"),
-        ("/predict", {"model": "forest", "sections": [_FINITE_ROW, _HUGE_ROW]},
-         "section 1: the prediction is not finite"),
-        ("/explain", {"model": "tree", "section": _HUGE_ROW},
-         "section 0: the explanation is not finite"),
-    ], ids=["predict-tree", "predict-forest", "explain-tree"])
+        pytest.param(
+            "/predict", {"model": "tree", "sections": [_FINITE_ROW, _HUGE_ROW]},
+            "section 1: the prediction is not finite", id="predict-tree",
+            marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+        ),
+        pytest.param(
+            "/predict",
+            {"model": "forest", "sections": [_FINITE_ROW, _HUGE_ROW]},
+            "section 1: the prediction is not finite", id="predict-forest",
+            marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+        ),
+        pytest.param(
+            "/explain", {"model": "tree", "section": _HUGE_ROW},
+            "section 0: the explanation is not finite", id="explain-tree",
+        ),
+    ])
     def test_overflowing_section_is_refused(
         self, overflow_server, path, payload, message
     ):
@@ -431,6 +442,64 @@ class TestRequestHead:
         assert not closed
 
 
+class TestRefusalBeforeTheBody:
+    """A POST refused before its body is read must not leave the body on
+    the connection, where it would be read as the next request."""
+
+    def _refused_then_predict(self, server, path, section):
+        body = json.dumps({"section": section}).encode()
+        post = (f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+        with socket.create_connection(
+            ("127.0.0.1", server.bound_port), timeout=2
+        ) as sock:
+            sock.sendall(post)
+            refused = read_reply(sock)
+            try:
+                sock.sendall(predict_request(section))
+                after = sock.recv(65536)
+            except (BrokenPipeError, ConnectionResetError):
+                after = b""
+        return refused, after
+
+    def test_unknown_post_path_closes_the_connection(
+        self, server, suite_dataset
+    ):
+        (status, headers, body), after = self._refused_then_predict(
+            server, "/nope", suite_dataset.X[0].tolist()
+        )
+        assert status == "HTTP/1.1 404 Not Found"
+        assert json.loads(body)["status"] == 404
+        assert ("Connection", "close") in headers
+        # Closed, not "400 Bad request syntax" for the body glued to the
+        # next request line.
+        assert after == b""
+
+    def test_shed_post_closes_the_connection(
+        self, tmp_path, suite_tree, suite_dataset
+    ):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.publish("cpi-tree", suite_tree)
+        srv = ModelServer(
+            registry=registry, default_model="cpi-tree@latest", port=0,
+            max_inflight=1,
+        )
+        srv.start()
+        srv.serve_in_background()
+        srv.begin_request()
+        try:
+            (status, headers, body), after = self._refused_then_predict(
+                srv, "/predict", suite_dataset.X[0].tolist()
+            )
+        finally:
+            srv.end_request()
+            srv.shutdown(drain_timeout=1.0)
+        assert status == "HTTP/1.1 503 Service Unavailable"
+        assert json.loads(body)["reason"] == "overload"
+        assert ("Connection", "close") in headers
+        assert after == b""
+
+
 class TestReplyHead:
     def test_head_order(self, server, suite_dataset):
         (status, headers, body), _ = exchange(server, predict_request(
@@ -488,7 +557,8 @@ class TestReplyHead:
             srv.shutdown(drain_timeout=1.0)
         assert status == "HTTP/1.1 503 Service Unavailable"
         assert [name for name, _ in headers] == [
-            "Server", "Date", "Content-Type", "Retry-After", "Content-Length",
+            "Server", "Date", "Content-Type", "Retry-After", "Connection",
+            "Content-Length",
         ]
 
     def test_date_is_formatted_once_a_second(self, monkeypatch):
@@ -699,127 +769,40 @@ class TestEndToEnd:
             server.shutdown()
 
 
-class TestBatchQueue:
-    def test_concurrent_submissions_coalesce(self, suite_tree, suite_dataset):
-        # Batches form from contention: the first request leads, and its
-        # evaluation holds the lead until the other seven requests are
-        # queued behind it; the oldest of them then leads them all.
-        batches = []
-        busy, release = threading.Event(), threading.Event()
-
-        def evaluate(X):
-            busy.set()
-            assert release.wait(timeout=5)
-            return suite_tree.compiled_.predict(X)
-
-        queue = BatchQueue(
-            evaluate, max_batch=64, observe_batch=batches.append,
-        ).start()
-        try:
-            X = suite_dataset.X
-            results = {}
-
-            def score(i):
-                results[i] = queue.submit(X[i:i + 1])
-
-            threads = [
-                threading.Thread(target=score, args=(i,)) for i in range(8)
-            ]
-            threads[0].start()
-            assert busy.wait(timeout=5)
-            for thread in threads[1:]:
-                thread.start()
-            deadline = time.monotonic() + 5
-            while len(queue._waiting) < 7 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert len(queue._waiting) == 7
-            release.set()
-            for thread in threads:
-                thread.join(timeout=5)
-                assert not thread.is_alive()
-            want = suite_tree.compiled_.predict(X[:8])
-            for i in range(8):
-                assert results[i].shape == (1,)
-                assert results[i][0] == want[i]
-            # At least one evaluation carried more than one request.
-            assert sum(batches) == 8 and len(batches) < 8
-            assert batches == [1, 7]
-        finally:
-            release.set()
-            queue.stop()
-
-    def test_batch_failure_reaches_every_caller(self):
-        # Rows of two widths queue behind a held evaluation and meet in
-        # one batch that cannot be stacked: both callers get the error.
-        busy, release = threading.Event(), threading.Event()
-
-        def evaluate(X):
-            busy.set()
-            assert release.wait(timeout=5)
-            return np.zeros(X.shape[0])
-
-        queue = BatchQueue(evaluate).start()
-        errors = []
-
-        def score(width):
-            try:
-                queue.submit(np.zeros((1, width)))
-            except ValueError as exc:
-                errors.append(exc)
-
-        try:
-            leader = threading.Thread(target=score, args=(3,), daemon=True)
-            leader.start()
-            assert busy.wait(timeout=5)
-            followers = [
-                threading.Thread(target=score, args=(w,), daemon=True)
-                for w in (3, 4)
-            ]
-            for thread in followers:
-                thread.start()
-            deadline = time.monotonic() + 5
-            while len(queue._waiting) < 2 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert len(queue._waiting) == 2
-            release.set()
-            for thread in [leader, *followers]:
-                thread.join(timeout=5)
-                assert not thread.is_alive()
-            assert len(errors) == 2
-        finally:
-            release.set()
-            queue.stop()
-
-    def test_stress_mixed_sizes_and_deadlines(self, suite_tree, suite_dataset):
-        """More submitting threads than cores, 1- and 64-row requests,
-        some with budgets that expire while queued, and a switch interval
-        short enough to interleave every step of the hand-off."""
-        compiled = suite_tree.compiled_
+class TestConcurrentScoring:
+    def test_stress_mixed_sizes(self, suite_dataset):
+        """More scoring threads than cores, 1- and 64-row requests to a
+        tree and a refined forest, and a switch interval short enough to
+        interleave every step of two evaluations of one model."""
         X = suite_dataset.X
+        forest = BaggedM5(n_estimators=4, min_instances=25, seed=3).fit(
+            suite_dataset
+        )
+        RefinedForest(forest, prune_pct=0.2, n_prunings=1).fit(suite_dataset)
+        assert forest.refined_ is not None
+        models = {
+            "tree": M5Prime(min_instances=25).fit(suite_dataset),
+            "forest": forest,
+        }
+        srv = ModelServer(port=0)
+        for label, model in models.items():
+            srv.add_model(label, model)
         n_threads = 4 * (os.cpu_count() or 1) + 4
-        per_thread, max_batch = 12, 48
-        batches = []
-
-        def evaluate(rows):
-            time.sleep(0.001)  # release the interpreter lock mid-batch
-            return compiled.predict(rows)
-
-        queue = BatchQueue(
-            evaluate, max_batch=max_batch, observe_batch=batches.append,
-        ).start()
+        per_thread = 12
         outcomes = {}
 
         def client(t):
             rng = np.random.default_rng(t)
             for k in range(per_thread):
-                size = 64 if rng.random() < 0.25 else 1
-                rows = X[rng.integers(len(X), size=size)]
-                timeout = 1e-4 if rng.random() < 0.3 else None
-                try:
-                    outcome = queue.submit(rows, timeout=timeout)
-                except TaskTimeoutError as exc:
-                    outcome = exc
-                outcomes[t, k] = (rows, timeout, outcome)
+                label = "tree" if rng.random() < 0.5 else "forest"
+                rows = X[rng.integers(len(X), size=64 if rng.random() < 0.25
+                                      else 1)]
+                payload = (
+                    {"model": label, "section": rows[0].tolist()}
+                    if rows.shape[0] == 1
+                    else {"model": label, "sections": rows.tolist()}
+                )
+                outcomes[t, k] = (label, rows, srv.handle_predict(payload))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -831,74 +814,29 @@ class TestBatchQueue:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(timeout=60)
+                thread.join(timeout=120)
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        try:
-            assert len(outcomes) == n_threads * per_thread
-            scored_rows = 0
-            expired = 0
-            for rows, timeout, outcome in outcomes.values():
-                if isinstance(outcome, TaskTimeoutError):
-                    assert timeout is not None
-                    expired += 1
-                    continue
-                assert np.array_equal(outcome, compiled.predict(rows))
-                scored_rows += rows.shape[0]
-            assert expired > 0
-            assert sum(batches) == scored_rows
-            # Only a request larger than the budget forms a larger batch.
-            assert all(n <= max_batch or n == 64 for n in batches)
-            # Nothing is stranded: the lead was handed back, so a later
-            # submit is scored at once.
-            late = threading.Thread(
-                target=client, args=(n_threads,), daemon=True
-            )
-            late.start()
-            late.join(timeout=10)
-            assert not late.is_alive()
-        finally:
-            queue.stop()
-
-    def test_deadline_enforced(self, suite_dataset):
-        release = threading.Event()
-
-        def slow_evaluate(X):
-            release.wait(timeout=5)
-            return np.zeros(X.shape[0])
-
-        queue = BatchQueue(slow_evaluate).start()
-        try:
-            # First request occupies the evaluator; the second expires
-            # while queued behind it.
-            first = threading.Thread(
-                target=lambda: queue.submit(suite_dataset.X[:1], timeout=5)
-            )
-            first.start()
-            time.sleep(0.1)
-            with pytest.raises(TaskTimeoutError):
-                queue.submit(suite_dataset.X[:1], timeout=0.05)
-        finally:
-            release.set()
-            queue.stop()
-
-    def test_stopped_queue_rejects(self, suite_dataset):
-        queue = BatchQueue(lambda X: np.zeros(X.shape[0])).start()
-        queue.stop()
-        with pytest.raises(ServeError):
-            queue.submit(suite_dataset.X[:1])
-
-    def test_evaluator_error_propagates(self, suite_dataset):
-        def explode(X):
-            raise ValueError("boom")
-
-        queue = BatchQueue(explode).start()
-        try:
-            with pytest.raises(ValueError, match="boom"):
-                queue.submit(suite_dataset.X[:1])
-        finally:
-            queue.stop()
+        assert len(outcomes) == n_threads * per_thread
+        rows_sent = {label: 0 for label in models}
+        for label, rows, document in outcomes.values():
+            model = models[label]
+            assert document["n"] == rows.shape[0]
+            assert np.array(document["predictions"]).tobytes() == \
+                model.predict(rows).tobytes()
+            if label == "tree":
+                assert document["leaf_ids"] == model.leaf_ids(rows).tolist()
+            else:
+                assert "leaf_ids" not in document
+            rows_sent[label] += rows.shape[0]
+        for label, sent in rows_sent.items():
+            snapshot = srv.get_model(label).drift.snapshot()
+            assert snapshot["rows_seen"] == sent
+            assert snapshot["predictions_seen"] == sent
+        text = srv.render_metrics()
+        assert f"repro_batch_rows_count {len(outcomes)}\n" in text
+        assert f"repro_batch_rows_sum {sum(rows_sent.values())}\n" in text
 
 
 class TestLoadShedding:
@@ -964,40 +902,6 @@ class TestLoadShedding:
             ModelServer(
                 registry=ModelRegistry(tmp_path / "r"), max_inflight=0
             )
-
-
-class TestDeadlineShed:
-    def test_deadline_503_envelope(self, tmp_path, suite_tree, suite_dataset,
-                                   monkeypatch):
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.publish("cpi-tree", suite_tree)
-        srv = ModelServer(
-            registry=registry, default_model="cpi-tree@latest", port=0,
-            task_timeout=0.05,
-        )
-        # The batch outlasts the budget plus the queue's 50 ms grace, so
-        # the real queue raises TaskTimeoutError once it returns.
-        queue = srv.get_model().queue
-        evaluate = queue.evaluate
-
-        def slow(rows):
-            time.sleep(0.2)
-            return evaluate(rows)
-
-        monkeypatch.setattr(queue, "evaluate", slow)
-        srv.start()
-        srv.serve_in_background()
-        try:
-            status, document, headers = call_with_headers(
-                srv, "/predict", {"section": suite_dataset.X[0].tolist()}
-            )
-            assert status == 503
-            assert document["reason"] == "deadline"
-            assert headers.get("Retry-After") is not None
-            assert 'repro_shed_total{reason="deadline"} 1' in \
-                srv.render_metrics()
-        finally:
-            srv.shutdown(drain_timeout=1.0)
 
 
 class TestGracefulShutdown:
